@@ -154,6 +154,37 @@ fn cli_simulate_matches_committed_snapshot() {
 }
 
 #[test]
+fn cli_simulate_monte_carlo_matches_committed_snapshot() {
+    // The Monte-Carlo batch engine's bits: eight seeds from 42 through
+    // one shared frame plan, per-stage mean ± σ and the first seed's
+    // digests.
+    let out = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .args([
+            "simulate",
+            "--design",
+            "descriptions/quickstart.json",
+            "--seed",
+            "42",
+            "--samples",
+            "8",
+        ])
+        .output()
+        .expect("camj binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let expected = fs::read_to_string("descriptions/quickstart.simulate-mc.txt").unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        expected,
+        "CLI simulate --samples output drifted from descriptions/quickstart.simulate-mc.txt; \
+         regenerate it if the change is intentional"
+    );
+}
+
+#[test]
 fn cli_simulate_full_dag_matches_committed_snapshot() {
     // The edgaze description bundles a real-image stimulus
     // (descriptions/edgaze_eye.pgm) and a three-stage digital DAG, so
