@@ -46,12 +46,8 @@ use camj_tech::units::{Energy, Time};
 use crate::check;
 use crate::delay::DelayEstimate;
 use crate::error::CamjError;
-use crate::functional::{
-    self, DagSim, DagStageSim, FrameSimReport, McDagSim, McDagStageSim, McFrameSimReport,
-    McOutputStats, McTaskMetrics, NoiseReport, NoiseStage, OutputStats, StageMcSim, StageNoise,
-    StageSim, Stimulus, TaskMetrics, DEFAULT_SIGNAL_FRACTION,
-};
-use crate::hw::{AnalogUnitDesc, DigitalUnitKind, HardwareDesc, UnitKind};
+use crate::functional::{Stimulus, DEFAULT_SIGNAL_FRACTION};
+use crate::hw::{DigitalUnitKind, HardwareDesc, UnitKind};
 use crate::mapping::Mapping;
 use crate::power_density::layer_powers;
 use crate::route::{routes, Route};
@@ -145,11 +141,6 @@ impl GatedEstimate {
 /// Domain tag of the elastic-simulation fingerprint; bump when the
 /// simulator's semantics change so stale cache keys cannot alias.
 const SIM_FINGERPRINT_DOMAIN: &str = "camj.sim/v1";
-
-/// Domain tag of the functional (task-metrics) fingerprint; bump when
-/// the frame pipeline or DAG semantics change so stale cache keys
-/// cannot alias.
-const FUNCTIONAL_FINGERPRINT_DOMAIN: &str = "camj.functional/v1";
 
 /// The FPS-independent result of the **simulate** stage: the elastic
 /// cycle-level simulation and the digital latency derived from it.
@@ -957,1117 +948,4 @@ impl ValidatedModel {
         }
         units.len() + 1 // + exposure
     }
-
-    // -----------------------------------------------------------------
-    // Noise-aware functional simulation
-    // -----------------------------------------------------------------
-
-    /// The analog units of the signal chain in signal-flow order:
-    /// the units Input stages map onto first (the pixel array leads),
-    /// then every analog unit the routes traverse in route order, then
-    /// any remaining mapped analog unit.
-    fn analog_signal_chain(&self) -> Vec<&AnalogUnitDesc> {
-        fn push<'a>(hw: &'a HardwareDesc, name: &str, units: &mut Vec<&'a AnalogUnitDesc>) {
-            if let Some(unit) = hw.analog(name) {
-                if !units.iter().any(|u| u.name() == name) {
-                    units.push(unit);
-                }
-            }
-        }
-        let mut units: Vec<&AnalogUnitDesc> = Vec::new();
-        for stage in self.algo.stages() {
-            if matches!(stage.kind(), StageKind::Input) {
-                if let Some(unit) = self.mapping.unit_for(stage.name()) {
-                    push(&self.hw, unit, &mut units);
-                }
-            }
-        }
-        for route in &self.routes {
-            for hop in &route.path {
-                push(&self.hw, hop, &mut units);
-            }
-        }
-        for (stage, unit) in self.mapping.iter() {
-            if self.algo.stage(stage).is_some() {
-                push(&self.hw, unit, &mut units);
-            }
-        }
-        units
-    }
-
-    /// Resolves the noise chain: one [`NoiseStage`] per analog unit,
-    /// carrying the component's declared [`NoiseSource`]s and the
-    /// implicit quantization of a digitising back end.
-    ///
-    /// [`NoiseSource`]: camj_analog::noise::NoiseSource
-    fn noise_chain(&self) -> Vec<NoiseStage> {
-        self.analog_signal_chain()
-            .into_iter()
-            .map(|unit| {
-                let component = unit.array().component();
-                NoiseStage {
-                    unit: unit.name().to_owned(),
-                    sources: component.noise_sources().to_vec(),
-                    quant_bits: component.conversion_bits(),
-                }
-            })
-            .collect()
-    }
-
-    /// The analytic noise budget for an already-solved delay split:
-    /// per-stage variance accumulation at `signal_fraction` of full
-    /// scale. `None` when the chain contributes no noise at all —
-    /// no descriptors and no digitising component, or only
-    /// zero-amplitude sources (a `read` of 0, a dark current of
-    /// 0 e⁻/s), which validation deliberately allows.
-    pub(crate) fn noise_report_for(
-        &self,
-        delay: &DelayEstimate,
-        signal_fraction: f64,
-    ) -> Option<NoiseReport> {
-        assert!(
-            signal_fraction > 0.0 && signal_fraction <= 1.0,
-            "signal fraction must be in (0, 1], got {signal_fraction}"
-        );
-        let chain = self.noise_chain();
-        if !chain.iter().any(NoiseStage::is_noisy) {
-            return None;
-        }
-        let exposure = delay.analog_unit_time;
-        let mut cumulative_var = 0.0;
-        let stages: Vec<StageNoise> = chain
-            .iter()
-            .map(|stage| {
-                let added_var = stage.variance(
-                    signal_fraction,
-                    exposure,
-                    camj_tech::constants::DEFAULT_TEMPERATURE_K,
-                );
-                cumulative_var += added_var;
-                let cumulative = cumulative_var.sqrt();
-                StageNoise {
-                    unit: stage.unit.clone(),
-                    added_noise_rms: added_var.sqrt(),
-                    cumulative_noise_rms: cumulative,
-                    snr_db: functional::snr_db(signal_fraction, cumulative),
-                }
-            })
-            .collect();
-        let output_noise_rms = cumulative_var.sqrt();
-        // Declared sources can all be zero-amplitude; such a chain is
-        // effectively noise-free, not an error.
-        let output_snr_db = functional::snr_db(signal_fraction, output_noise_rms)?;
-        Some(NoiseReport {
-            signal_fraction,
-            stages,
-            output_noise_rms,
-            output_snr_db,
-        })
-    }
-
-    /// The analytic noise budget at an explicit frame rate, quoted at
-    /// the default mid-scale signal level. This is the quantity the
-    /// explorer's `snr` objective minimises (as output noise RMS), and
-    /// what [`EstimateReport::noise`](super::EstimateReport) carries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation/feasibility failures from the delay solve
-    /// (the exposure time the dark-current sources integrate over
-    /// comes from the frame budget).
-    pub fn noise_report_at_fps(&self, fps: f64) -> Result<Option<NoiseReport>, CamjError> {
-        let delay = self.estimate_delay_at(fps)?;
-        Ok(self.noise_report_for(&delay, DEFAULT_SIGNAL_FRACTION))
-    }
-
-    /// Simulates one frame functionally: renders `stimulus` at the
-    /// input stage's resolution, pushes it through the analog signal
-    /// chain injecting each stage's noise with a seeded Gaussian
-    /// sampler (and applying real mid-tread quantization at digitising
-    /// stages), and measures per-stage SNR against the clean frame.
-    ///
-    /// Determinism contract: the result is a pure function of
-    /// `(model, seed, stimulus)` — per-stage RNG streams are derived
-    /// by fingerprint-mixing, never shared, so repeated runs and any
-    /// `RAYON_NUM_THREADS` setting produce byte-identical reports
-    /// (pinned by [`FrameSimReport::digest`]).
-    ///
-    /// # Errors
-    ///
-    /// * [`CamjError::CheckDag`] when the algorithm has no input stage
-    ///   to render the stimulus at,
-    /// * the delay-solve errors of [`Self::estimate_delay`] (exposure
-    ///   time comes from the frame budget).
-    pub fn simulate_frame(
-        &self,
-        seed: u64,
-        stimulus: &Stimulus,
-    ) -> Result<FrameSimReport, CamjError> {
-        Ok(self.frame_plan(stimulus)?.simulate(seed))
-    }
-
-    /// Simulates the same stimulus under several independent seeds and
-    /// aggregates the per-stage noise statistics — the Monte-Carlo SNR
-    /// estimate behind the explorer's `mc_snr:<samples>` objective and
-    /// `camj simulate --samples N`.
-    ///
-    /// The frame plan (clean frame, resolved variance terms, per-pixel
-    /// noise std) is built once and shared; seeds then simulate
-    /// independently, in parallel when more than one worker is
-    /// available. Because every seed's RNG streams are derived by
-    /// fingerprint-mixing (never shared), each per-seed frame — and
-    /// therefore the whole report — is byte-identical whatever
-    /// `RAYON_NUM_THREADS` says.
-    ///
-    /// Batch runs draw noise with the ziggurat sampler instead of the
-    /// single-seed path's digest-pinned Box–Muller stream: the samples
-    /// are exactly N(0, 1) and fully deterministic per seed, but
-    /// `simulate_frames(&[s], …)` is *not* bitwise the same frame as
-    /// [`Self::simulate_frame`]`(s, …)` — it is a different (equally
-    /// valid) realisation, at a fraction of the per-seed cost.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::simulate_frame`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty (there is nothing to aggregate).
-    pub fn simulate_frames(
-        &self,
-        seeds: &[u64],
-        stimulus: &Stimulus,
-    ) -> Result<McFrameSimReport, CamjError> {
-        use rayon::prelude::*;
-        assert!(!seeds.is_empty(), "simulate_frames needs at least one seed");
-        let _span = obs_core::span("frame.simulate_mc");
-        obs_core::counter("frame.seeds", 0, seeds.len() as u64);
-        let plan = self.frame_plan(stimulus)?;
-        let stds = plan.noise_stds();
-        let reports: Vec<FrameSimReport> = seeds
-            .par_iter()
-            .map(|&seed| plan.simulate_fast(seed, &stds))
-            .collect();
-        let stages = (0..reports[0].stages.len())
-            .map(|i| {
-                let rms: Vec<f64> = reports.iter().map(|r| r.stages[i].noise_rms).collect();
-                let snr: Vec<Option<f64>> = reports.iter().map(|r| r.stages[i].snr_db).collect();
-                let (noise_rms_mean, noise_rms_std) = functional::mean_std(&rms);
-                let (snr_db_mean, snr_db_std) = functional::mean_std_opt(&snr);
-                StageMcSim {
-                    unit: reports[0].stages[i].unit.clone(),
-                    noise_rms_mean,
-                    noise_rms_std,
-                    snr_db_mean,
-                    snr_db_std,
-                }
-            })
-            .collect();
-        let means: Vec<f64> = reports.iter().map(|r| r.output.mean).collect();
-        let rms: Vec<f64> = reports.iter().map(|r| r.output.noise_rms).collect();
-        let snr: Vec<Option<f64>> = reports.iter().map(|r| r.output.snr_db).collect();
-        let (noise_rms_mean, noise_rms_std) = functional::mean_std(&rms);
-        let (snr_db_mean, snr_db_std) = functional::mean_std_opt(&snr);
-        let dag = reports[0].dag.as_ref().map(|first| {
-            // Every report shares the plan, so dag presence and stage
-            // lists agree across seeds.
-            let per_seed: Vec<&DagSim> = reports
-                .iter()
-                .map(|r| r.dag.as_ref().expect("shared plan"))
-                .collect();
-            let stages = (0..first.stages.len())
-                .map(|i| {
-                    let rms: Vec<f64> = per_seed.iter().map(|d| d.stages[i].error_rms).collect();
-                    let snr: Vec<Option<f64>> =
-                        per_seed.iter().map(|d| d.stages[i].snr_db).collect();
-                    let (error_rms_mean, error_rms_std) = functional::mean_std(&rms);
-                    let (snr_db_mean, snr_db_std) = functional::mean_std_opt(&snr);
-                    McDagStageSim {
-                        stage: first.stages[i].stage.clone(),
-                        error_rms_mean,
-                        error_rms_std,
-                        snr_db_mean,
-                        snr_db_std,
-                    }
-                })
-                .collect();
-            let mse: Vec<f64> = per_seed.iter().map(|d| d.metrics.mse).collect();
-            let rmse: Vec<f64> = per_seed.iter().map(|d| d.metrics.rmse).collect();
-            let psnr: Vec<Option<f64>> = per_seed.iter().map(|d| d.metrics.psnr_db).collect();
-            let cent: Vec<f64> = per_seed.iter().map(|d| d.metrics.centroid_err).collect();
-            let (mse_mean, mse_std) = functional::mean_std(&mse);
-            let (rmse_mean, rmse_std) = functional::mean_std(&rmse);
-            let (psnr_db_mean, psnr_db_std) = functional::mean_std_opt(&psnr);
-            let (centroid_err_mean, centroid_err_std) = functional::mean_std(&cent);
-            McDagSim {
-                stages,
-                sink: first.sink.clone(),
-                metrics: McTaskMetrics {
-                    mse_mean,
-                    mse_std,
-                    rmse_mean,
-                    rmse_std,
-                    psnr_db_mean,
-                    psnr_db_std,
-                    centroid_err_mean,
-                    centroid_err_std,
-                },
-                digests: per_seed.iter().map(|d| d.digest.clone()).collect(),
-            }
-        });
-        Ok(McFrameSimReport {
-            stimulus: stimulus.to_string(),
-            seeds: seeds.to_vec(),
-            width: reports[0].width,
-            height: reports[0].height,
-            channels: reports[0].channels,
-            stages,
-            output: McOutputStats {
-                mean: functional::mean_std(&means).0,
-                noise_rms_mean,
-                noise_rms_std,
-                snr_db_mean,
-                snr_db_std,
-            },
-            digests: reports.into_iter().map(|r| r.digest).collect(),
-            dag,
-        })
-    }
-
-    /// Task-level accuracy of the **attached** stimulus
-    /// ([`Self::with_stimulus`]) pushed through the full functional
-    /// pipeline — analog chain, ADC quantization, then the mapped
-    /// digital DAG — averaged over `seeds` Monte-Carlo noise
-    /// realisations. This is the quantity `accuracy:<metric>`
-    /// objectives minimise.
-    ///
-    /// With an [`EstimateCache`] attached, the result is shared across
-    /// models keyed by [`Self::functional_fingerprint`], the same
-    /// machinery the energy kernels use: repeated evaluations of a
-    /// point (or of fingerprint-identical points) replay instead of
-    /// re-simulating.
-    ///
-    /// # Errors
-    ///
-    /// * [`CamjError::CheckDag`] when the algorithm has no non-input
-    ///   stage (there is no task output to judge),
-    /// * the conditions of [`Self::simulate_frames`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn task_metrics(&self, seeds: &[u64]) -> Result<TaskMetrics, CamjError> {
-        assert!(!seeds.is_empty(), "task_metrics needs at least one seed");
-        let compute = || -> Result<TaskMetrics, CamjError> {
-            let report = self.simulate_frames(seeds, &self.stimulus)?;
-            match report.dag {
-                Some(dag) => Ok(TaskMetrics {
-                    mse: dag.metrics.mse_mean,
-                    rmse: dag.metrics.rmse_mean,
-                    psnr_db: dag.metrics.psnr_db_mean,
-                    centroid_err: dag.metrics.centroid_err_mean,
-                }),
-                None => Err(CamjError::CheckDag {
-                    reason: "accuracy metrics need at least one non-input algorithm stage to judge"
-                        .to_owned(),
-                }),
-            }
-        };
-        match &self.cache {
-            Some(cache) => {
-                let fp = self.functional_fingerprint(seeds)?;
-                cache.functional_or(fp, compute).as_ref().clone()
-            }
-            None => compute(),
-        }
-    }
-
-    /// The content address of one functional (task-metrics) evaluation:
-    /// everything [`Self::task_metrics`] reads — the exposure time from
-    /// the delay solve, the resolved noise chain, the stimulus content
-    /// (pixel data included, path excluded), the algorithm DAG with its
-    /// bit widths, and the seed list. Models agreeing on all of that
-    /// produce byte-identical metrics, so they may share one cache
-    /// entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the delay-solve errors of [`Self::estimate_delay`].
-    pub fn functional_fingerprint(&self, seeds: &[u64]) -> Result<Fingerprint, CamjError> {
-        let delay = self.estimate_delay()?;
-        let mut h = FpHasher::new();
-        h.write_str(FUNCTIONAL_FINGERPRINT_DOMAIN);
-        h.write_f64(delay.analog_unit_time.secs());
-        let chain = self.noise_chain();
-        h.write_usize(chain.len());
-        for stage in &chain {
-            h.write_str(&stage.unit);
-            // The source list is tiny; its JSON encoding (shortest
-            // round-trip floats) is an exact, stable content key.
-            h.write_str(&serde_json::to_string(&stage.sources).unwrap_or_default());
-            match stage.quant_bits {
-                Some(bits) => {
-                    h.write_bool(true);
-                    h.write_u32(bits);
-                }
-                None => h.write_bool(false),
-            }
-        }
-        match &self.stimulus {
-            Stimulus::Uniform { level } => {
-                h.write_tag(1);
-                h.write_f64(*level);
-            }
-            Stimulus::Gradient { low, high } => {
-                h.write_tag(2);
-                h.write_f64(*low);
-                h.write_f64(*high);
-            }
-            Stimulus::Image {
-                width,
-                height,
-                pixels,
-                ..
-            } => {
-                h.write_tag(3);
-                h.write_u32(*width);
-                h.write_u32(*height);
-                h.write_f64_slice_bulk(pixels);
-            }
-        }
-        use camj_tech::fingerprint::Fingerprintable;
-        let stages = self.algo.stages();
-        h.write_usize(stages.len());
-        for stage in stages {
-            stage.feed(&mut h);
-        }
-        let edges = self.algo.edge_names();
-        h.write_usize(edges.len());
-        for (from, to) in edges {
-            h.write_str(from);
-            h.write_str(to);
-        }
-        h.write_usize(seeds.len());
-        for seed in seeds {
-            h.write_u64(*seed);
-        }
-        Ok(h.finish())
-    }
-
-    /// Resolves everything about a frame simulation that does not
-    /// depend on the seed: the rendered clean frame, the signal level,
-    /// and each stage's variance terms. One plan serves every seed of a
-    /// Monte-Carlo run.
-    fn frame_plan(&self, stimulus: &Stimulus) -> Result<FramePlan, CamjError> {
-        let _span = obs_core::span("frame.plan");
-        let delay = self.estimate_delay()?;
-        let input = self
-            .algo
-            .stages()
-            .iter()
-            .find(|s| matches!(s.kind(), StageKind::Input))
-            .ok_or_else(|| CamjError::CheckDag {
-                reason: "functional simulation needs an input stage to render the stimulus at"
-                    .to_owned(),
-            })?;
-        let size = input.output_size();
-        let (width, height, channels) = (size.width, size.height, size.channels);
-        let pixels = size.count() as usize;
-
-        let clean = stimulus.render(width, height, channels);
-        let signal_rms = (clean.iter().map(|v| v * v).sum::<f64>() / pixels.max(1) as f64).sqrt();
-        let dag = DagPlan::build(&self.algo, (width, height, channels), &clean);
-
-        let exposure = delay.analog_unit_time;
-        let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
-        let stages = self
-            .noise_chain()
-            .iter()
-            .map(|stage| PlanStage {
-                unit: stage.unit.clone(),
-                // Only photon shot noise depends on the pixel value;
-                // every other source's variance is constant across the
-                // frame, so evaluate it once per stage. Per-pixel terms
-                // keep the exact per-source expression and summation
-                // order, so frames stay bit-identical to the scalar
-                // per-pixel evaluation.
-                terms: if stage.sources.is_empty() {
-                    None
-                } else {
-                    Some(
-                        stage
-                            .sources
-                            .iter()
-                            .map(|s| match *s {
-                                camj_analog::noise::NoiseSource::PhotonShot {
-                                    full_well_electrons,
-                                } => VarTerm::Shot {
-                                    full_well_electrons,
-                                },
-                                _ => {
-                                    let rms = s.rms_fraction(0.0, exposure, temperature_k);
-                                    VarTerm::Constant(rms * rms)
-                                }
-                            })
-                            .collect(),
-                    )
-                },
-                quant_bits: stage.quant_bits,
-            })
-            .collect();
-        Ok(FramePlan {
-            stimulus: stimulus.to_string(),
-            width,
-            height,
-            channels,
-            clean,
-            signal_rms,
-            stages,
-            dag,
-        })
-    }
-
-    /// The original per-pixel scalar frame simulation, retained
-    /// verbatim as the bit-exactness oracle for the vectorized path
-    /// (property tests compare digests against it). Not part of the
-    /// public API surface.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::simulate_frame`].
-    #[doc(hidden)]
-    pub fn simulate_frame_reference(
-        &self,
-        seed: u64,
-        stimulus: &Stimulus,
-    ) -> Result<FrameSimReport, CamjError> {
-        let delay = self.estimate_delay()?;
-        let input = self
-            .algo
-            .stages()
-            .iter()
-            .find(|s| matches!(s.kind(), StageKind::Input))
-            .ok_or_else(|| CamjError::CheckDag {
-                reason: "functional simulation needs an input stage to render the stimulus at"
-                    .to_owned(),
-            })?;
-        let size = input.output_size();
-        let (width, height, channels) = (size.width, size.height, size.channels);
-        let pixels = size.count() as usize;
-
-        let clean = stimulus.render(width, height, channels);
-        let signal_rms = (clean.iter().map(|v| v * v).sum::<f64>() / pixels.max(1) as f64).sqrt();
-
-        let exposure = delay.analog_unit_time;
-        let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
-        let mut noisy = clean.clone();
-        let mut stages = Vec::new();
-        for (index, stage) in self.noise_chain().iter().enumerate() {
-            let mut rng = functional::stage_rng(seed, index, &stage.unit);
-            if !stage.sources.is_empty() {
-                let terms: Vec<VarTerm> = stage
-                    .sources
-                    .iter()
-                    .map(|s| match *s {
-                        camj_analog::noise::NoiseSource::PhotonShot {
-                            full_well_electrons,
-                        } => VarTerm::Shot {
-                            full_well_electrons,
-                        },
-                        _ => {
-                            let rms = s.rms_fraction(0.0, exposure, temperature_k);
-                            VarTerm::Constant(rms * rms)
-                        }
-                    })
-                    .collect();
-                for (value, reference) in noisy.iter_mut().zip(&clean) {
-                    // Signal-dependent sources (photon shot) read the
-                    // clean pixel value: deterministic, and unbiased by
-                    // upstream noise realisations.
-                    let var: f64 = terms
-                        .iter()
-                        .map(|term| match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                let rms = (*reference / full_well_electrons).sqrt();
-                                rms * rms
-                            }
-                            VarTerm::Constant(var) => var,
-                        })
-                        .sum();
-                    if var > 0.0 {
-                        *value += functional::gaussian(&mut rng) * var.sqrt();
-                    }
-                    // The physical rails clip: charge saturates at the
-                    // full well, swings at the supplies.
-                    *value = value.clamp(0.0, 1.0);
-                }
-            }
-            if let Some(bits) = stage.quant_bits {
-                for value in &mut noisy {
-                    *value = camj_digital::quantize::quantize(*value, bits);
-                }
-            }
-            let noise_rms = rms_error(&noisy, &clean);
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: functional::snr_db(signal_rms, noise_rms),
-            });
-        }
-
-        let mut report = finish_frame_report(
-            seed,
-            &stimulus.to_string(),
-            width,
-            height,
-            channels,
-            stages,
-            signal_rms,
-            &noisy,
-            &clean,
-            FrameDigest::Pinned,
-        );
-        // The digital-DAG pass runs strictly after the analog report is
-        // sealed, on the final frame — the analog digest stream is
-        // untouched, so committed pre-DAG digests remain valid.
-        report.dag = DagPlan::build(&self.algo, (width, height, channels), &clean)
-            .map(|dag| dag.run(&noisy));
-        Ok(report)
-    }
-}
-
-/// One resolved variance term of a noise stage (see
-/// [`ValidatedModel::frame_plan`]).
-enum VarTerm {
-    Shot { full_well_electrons: f64 },
-    Constant(f64),
-}
-
-/// One stage of a frame plan: the unit name (cold path — report rows
-/// only), its resolved variance terms, and the back-end quantization.
-struct PlanStage {
-    unit: String,
-    /// `None` when the stage declares no sources (noise injection is
-    /// skipped entirely, matching the scalar path).
-    terms: Option<Vec<VarTerm>>,
-    quant_bits: Option<u32>,
-}
-
-/// Everything about a frame simulation that is independent of the
-/// seed. Plain shared data — seeds simulate concurrently against one
-/// plan.
-struct FramePlan {
-    stimulus: String,
-    width: u32,
-    height: u32,
-    channels: u32,
-    clean: Vec<f64>,
-    signal_rms: f64,
-    stages: Vec<PlanStage>,
-    /// The digital-DAG functional pass, resolved once per plan (clean
-    /// reference tensors included); `None` when the algorithm has no
-    /// non-input stages.
-    dag: Option<DagPlan>,
-}
-
-/// Pixels processed per vectorized span: the variance and normal
-/// scratch buffers stay L1-resident at this size.
-const FRAME_CHUNK: usize = 1024;
-
-impl FramePlan {
-    /// Pushes one seeded noise realisation through the planned chain.
-    ///
-    /// The hot loops run per [`FRAME_CHUNK`] span: variance terms
-    /// accumulate term-outer into a span buffer (preserving the scalar
-    /// path's per-pixel summation order), Gaussians are block-filled
-    /// for exactly the pixels with positive variance (preserving the
-    /// scalar path's RNG consumption order), then applied and clamped
-    /// in pixel order — so the frame is bit-identical to
-    /// [`ValidatedModel::simulate_frame_reference`].
-    fn simulate(&self, seed: u64) -> FrameSimReport {
-        // One coarse span per frame; the chunked loops below are never
-        // probed individually.
-        let _span = obs_core::span("frame.simulate");
-        obs_core::counter("frame.pixels", 0, self.clean.len() as u64);
-        obs_core::counter(
-            "frame.chunks",
-            0,
-            (self.clean.len().div_ceil(FRAME_CHUNK) * self.stages.len()) as u64,
-        );
-        let mut noisy = self.clean.clone();
-        let mut var = [0.0_f64; FRAME_CHUNK];
-        let mut normals = [0.0_f64; FRAME_CHUNK];
-        let mut stages = Vec::with_capacity(self.stages.len());
-        for (index, stage) in self.stages.iter().enumerate() {
-            let mut rng = functional::stage_rng(seed, index, &stage.unit);
-            if let Some(terms) = &stage.terms {
-                for (noisy_span, clean_span) in noisy
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
-                    let var = &mut var[..noisy_span.len()];
-                    var.fill(0.0);
-                    for term in terms {
-                        match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                // Signal-dependent sources (photon
-                                // shot) read the clean pixel value:
-                                // deterministic, and unbiased by
-                                // upstream noise realisations.
-                                for (v, reference) in var.iter_mut().zip(clean_span) {
-                                    let rms = (*reference / full_well_electrons).sqrt();
-                                    *v += rms * rms;
-                                }
-                            }
-                            VarTerm::Constant(c) => {
-                                for v in var.iter_mut() {
-                                    *v += c;
-                                }
-                            }
-                        }
-                    }
-                    let draws = var.iter().filter(|v| **v > 0.0).count();
-                    let normals = &mut normals[..draws];
-                    rand::normal::fill_standard_normal(&mut rng, normals);
-                    let mut next = 0;
-                    for (value, v) in noisy_span.iter_mut().zip(var.iter()) {
-                        if *v > 0.0 {
-                            *value += normals[next] * v.sqrt();
-                            next += 1;
-                        }
-                        // The physical rails clip: charge saturates at
-                        // the full well, swings at the supplies.
-                        *value = value.clamp(0.0, 1.0);
-                    }
-                }
-            }
-            if let Some(bits) = stage.quant_bits {
-                camj_digital::quantize::quantize_slice(&mut noisy, bits);
-            }
-            let noise_rms = rms_error(&noisy, &self.clean);
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: functional::snr_db(self.signal_rms, noise_rms),
-            });
-        }
-        let mut report = finish_frame_report(
-            seed,
-            &self.stimulus,
-            self.width,
-            self.height,
-            self.channels,
-            stages,
-            self.signal_rms,
-            &noisy,
-            &self.clean,
-            FrameDigest::Pinned,
-        );
-        // DAG pass after the analog report is sealed: the committed
-        // analog digest stream stays exactly as before.
-        report.dag = self.dag.as_ref().map(|dag| dag.run(&noisy));
-        report
-    }
-
-    /// Resolves every stage's per-pixel noise standard deviation. The
-    /// variance is seed-independent, so a Monte-Carlo batch computes
-    /// this once and shares it across all seeds — the per-seed loop
-    /// then touches no variance term, no division, and no square root.
-    /// Accumulation order matches [`Self::simulate`] exactly, so the
-    /// stored `std` equals the bits `v.sqrt()` would produce there.
-    fn noise_stds(&self) -> Vec<Option<Vec<f64>>> {
-        self.stages
-            .iter()
-            .map(|stage| {
-                let terms = stage.terms.as_ref()?;
-                let mut std = vec![0.0_f64; self.clean.len()];
-                for (std_span, clean_span) in std
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
-                    for term in terms {
-                        match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                for (v, reference) in std_span.iter_mut().zip(clean_span) {
-                                    let rms = (*reference / full_well_electrons).sqrt();
-                                    *v += rms * rms;
-                                }
-                            }
-                            VarTerm::Constant(c) => {
-                                for v in std_span.iter_mut() {
-                                    *v += c;
-                                }
-                            }
-                        }
-                    }
-                    for v in std_span.iter_mut() {
-                        *v = if *v > 0.0 { v.sqrt() } else { 0.0 };
-                    }
-                }
-                Some(std)
-            })
-            .collect()
-    }
-
-    /// The Monte-Carlo batch realisation: same planned chain, but noise
-    /// is applied from the precomputed [`Self::noise_stds`] lanes and
-    /// drawn with the ziggurat sampler
-    /// ([`rand::normal::fill_standard_normal_fast`]) — exactly N(0, 1),
-    /// deterministic for the seed, but a different stream than the
-    /// single-seed path, whose Box–Muller draw order is pinned by the
-    /// committed frame digests. Per-seed cost is a fraction of a scalar
-    /// frame, which is what makes `mc_snr:<samples>` affordable inside
-    /// a sweep.
-    fn simulate_fast(&self, seed: u64, stds: &[Option<Vec<f64>>]) -> FrameSimReport {
-        let _span = obs_core::span("frame.simulate");
-        obs_core::counter("frame.pixels", 0, self.clean.len() as u64);
-        obs_core::counter(
-            "frame.chunks",
-            0,
-            (self.clean.len().div_ceil(FRAME_CHUNK) * self.stages.len()) as u64,
-        );
-        let mut noisy = self.clean.clone();
-        let mut normals = [0.0_f64; FRAME_CHUNK];
-        let mut stages = Vec::with_capacity(self.stages.len());
-        let len = noisy.len().max(1) as f64;
-        for (index, stage) in self.stages.iter().enumerate() {
-            let mut rng = functional::stage_rng(seed, index, &stage.unit);
-            // Squared error against the clean frame, accumulated by
-            // whichever fused pass ran last (pixel order, so the value
-            // matches what `rms_error` would measure).
-            let mut sq = None;
-            if let Some(std) = &stds[index] {
-                let mut acc = 0.0;
-                for ((noisy_span, std_span), clean_span) in noisy
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(std.chunks(FRAME_CHUNK))
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
-                    // One draw per pixel, zero-std lanes included: the
-                    // add of `n · 0.0` is exact, and the branch-free
-                    // span keeps the loop superscalar. (Zero-std
-                    // pixels are rare — they need a shot-only stage
-                    // over black pixels.)
-                    let normals = &mut normals[..noisy_span.len()];
-                    rand::normal::fill_standard_normal_fast(&mut rng, normals);
-                    for (((value, s), n), c) in noisy_span
-                        .iter_mut()
-                        .zip(std_span.iter())
-                        .zip(normals.iter())
-                        .zip(clean_span.iter())
-                    {
-                        *value = (*value + n * s).clamp(0.0, 1.0);
-                        let d = *value - c;
-                        acc += d * d;
-                    }
-                }
-                sq = Some(acc);
-            }
-            if let Some(bits) = stage.quant_bits {
-                sq = Some(camj_digital::quantize::quantize_slice_sq_err(
-                    &mut noisy,
-                    &self.clean,
-                    bits,
-                ));
-            }
-            let noise_rms =
-                sq.map_or_else(|| rms_error(&noisy, &self.clean), |sq| (sq / len).sqrt());
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: functional::snr_db(self.signal_rms, noise_rms),
-            });
-        }
-        let mut report = finish_frame_report(
-            seed,
-            &self.stimulus,
-            self.width,
-            self.height,
-            self.channels,
-            stages,
-            self.signal_rms,
-            &noisy,
-            &self.clean,
-            FrameDigest::Bulk,
-        );
-        report.dag = self.dag.as_ref().map(|dag| dag.run(&noisy));
-        report
-    }
-}
-
-/// One functionally executable stage of a [`DagPlan`].
-struct DagPlanStage {
-    name: String,
-    kind: StageKind,
-    /// Producer tensor slots: `0` is the sensor frame, `i + 1` is plan
-    /// stage `i`'s output. Edge order matches the DAG's edge list, so
-    /// execution is deterministic.
-    producers: Vec<usize>,
-    in_shape: (u32, u32, u32),
-    out_shape: (u32, u32, u32),
-    bits: u32,
-}
-
-/// The resolved digital-DAG functional pass: every non-input stage of
-/// the algorithm in topological order, plus the clean-frame reference
-/// tensors the noisy pass is judged against.
-///
-/// Execution semantics per stage kind live in
-/// [`camj_digital::functional`]; each stage output is requantized to
-/// the stage's declared bit width (`camj_digital::quantize`), applied
-/// identically to the clean reference run so the metrics isolate what
-/// the *noise* cost the task. Everything here is pure slice
-/// arithmetic in index order — a DAG pass is a deterministic function
-/// of its input tensor alone, byte-identical across thread counts.
-struct DagPlan {
-    frame_shape: (u32, u32, u32),
-    stages: Vec<DagPlanStage>,
-    /// The judged output: index of the last stage in topological order.
-    sink: usize,
-    /// Per-stage clean-frame reference outputs.
-    references: Vec<Vec<f64>>,
-    /// RMS of each reference tensor (the signal level stage SNR is
-    /// quoted against).
-    reference_rms: Vec<f64>,
-}
-
-impl DagPlan {
-    /// Resolves the plan and runs the clean reference pass. `None`
-    /// when the algorithm has no non-input stages (nothing digital to
-    /// execute).
-    fn build(
-        algo: &AlgorithmGraph,
-        frame_shape: (u32, u32, u32),
-        clean: &[f64],
-    ) -> Option<DagPlan> {
-        let topo = algo.topo_order().ok()?;
-        let mut slot_of: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
-        let mut stages: Vec<DagPlanStage> = Vec::new();
-        for name in topo {
-            let stage = algo.stage(name).expect("topo-ordered stages exist");
-            if matches!(stage.kind(), StageKind::Input) {
-                slot_of.insert(name, 0);
-                continue;
-            }
-            let producers = algo.producers_of(name).iter().map(|p| slot_of[p]).collect();
-            slot_of.insert(name, stages.len() + 1);
-            let (i, o) = (stage.input_size(), stage.output_size());
-            stages.push(DagPlanStage {
-                name: name.to_owned(),
-                kind: stage.kind(),
-                producers,
-                in_shape: (i.width, i.height, i.channels),
-                out_shape: (o.width, o.height, o.channels),
-                bits: stage.bits(),
-            });
-        }
-        if stages.is_empty() {
-            return None;
-        }
-        let sink = stages.len() - 1;
-        let mut plan = DagPlan {
-            frame_shape,
-            stages,
-            sink,
-            references: Vec::new(),
-            reference_rms: Vec::new(),
-        };
-        let references = plan.execute(clean);
-        plan.reference_rms = references
-            .iter()
-            .map(|t| (t.iter().map(|v| v * v).sum::<f64>() / t.len().max(1) as f64).sqrt())
-            .collect();
-        plan.references = references;
-        Some(plan)
-    }
-
-    /// Pushes one source frame through every stage, returning the
-    /// per-stage output tensors in plan order.
-    fn execute(&self, source: &[f64]) -> Vec<Vec<f64>> {
-        use camj_digital::functional::{box_stencil, elementwise_mean, resample_nearest};
-        let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            // Gather producer tensors, shape-adapting each to the
-            // stage's declared input shape.
-            let adapted: Vec<Vec<f64>> = stage
-                .producers
-                .iter()
-                .map(|&slot| {
-                    let (tensor, shape) = if slot == 0 {
-                        (source, self.frame_shape)
-                    } else {
-                        (
-                            outputs[slot - 1].as_slice(),
-                            self.stages[slot - 1].out_shape,
-                        )
-                    };
-                    resample_nearest(tensor, shape, stage.in_shape)
-                })
-                .collect();
-            let operands: Vec<&[f64]> = adapted.iter().map(Vec::as_slice).collect();
-            // Multiple producers (and temporal element-wise operands at
-            // steady state) combine as their mean, which keeps the
-            // signal in [0, 1].
-            let combined = elementwise_mean(&operands);
-            let mut out = match stage.kind {
-                StageKind::Stencil { kernel, stride } => {
-                    box_stencil(&combined, stage.in_shape, kernel, stride, stage.out_shape)
-                }
-                // Element-wise stages already combined above; DNN and
-                // custom stages carry no declarative arithmetic, so
-                // they act as shape adapters preserving signal content.
-                StageKind::Input
-                | StageKind::ElementWise { .. }
-                | StageKind::Dnn { .. }
-                | StageKind::Custom { .. } => {
-                    resample_nearest(&combined, stage.in_shape, stage.out_shape)
-                }
-            };
-            // Requantize at the stage's declared data resolution —
-            // the same bit width the energy side prices.
-            camj_digital::quantize::quantize_slice(&mut out, stage.bits);
-            outputs.push(out);
-        }
-        outputs
-    }
-
-    /// Runs the noisy pass and measures every stage against its clean
-    /// reference, judging the sink at the task level.
-    fn run(&self, noisy: &[f64]) -> DagSim {
-        let _span = obs_core::span("functional.dag");
-        obs_core::counter("functional.stages", 0, self.stages.len() as u64);
-        let outputs = self.execute(noisy);
-        let stages: Vec<DagStageSim> = outputs
-            .iter()
-            .enumerate()
-            .map(|(i, out)| {
-                let error_rms = rms_error(out, &self.references[i]);
-                DagStageSim {
-                    stage: self.stages[i].name.clone(),
-                    error_rms,
-                    snr_db: functional::snr_db(self.reference_rms[i], error_rms),
-                }
-            })
-            .collect();
-        let sink_out = &outputs[self.sink];
-        let (sw, sh, _) = self.stages[self.sink].out_shape;
-        let metrics = TaskMetrics::measure(sink_out, &self.references[self.sink], sw, sh);
-        let mut h = FpHasher::new();
-        h.write_str("camj.dag-digest/v1");
-        for span in sink_out.chunks(FRAME_CHUNK) {
-            h.write_f64_slice_bulk(span);
-        }
-        let (hi, lo) = h.finish().parts();
-        DagSim {
-            stages,
-            sink: self.stages[self.sink].name.clone(),
-            metrics,
-            digest: format!("{hi:016x}{lo:016x}"),
-        }
-    }
-}
-
-/// Digest flavour of a finished frame (see [`finish_frame_report`]).
-enum FrameDigest {
-    /// Per-value hashing under the committed `camj.frame-digest/v1`
-    /// domain — the single-seed compatibility digest.
-    Pinned,
-    /// Word-at-a-time hashing under its own domain — ~6x cheaper, used
-    /// by Monte-Carlo batch frames (which are not stream-compatible
-    /// with the pinned path anyway).
-    Bulk,
-}
-
-/// Shared tail of a frame simulation: output statistics and the
-/// bit-pinning digest of the final frame.
-#[allow(clippy::too_many_arguments)]
-fn finish_frame_report(
-    seed: u64,
-    stimulus: &str,
-    width: u32,
-    height: u32,
-    channels: u32,
-    stages: Vec<StageSim>,
-    signal_rms: f64,
-    noisy: &[f64],
-    clean: &[f64],
-    digest: FrameDigest,
-) -> FrameSimReport {
-    // The last stage already measured the final frame against the
-    // clean frame; recompute only when there was no stage at all.
-    let noise_rms = stages
-        .last()
-        .map_or_else(|| rms_error(noisy, clean), |s| s.noise_rms);
-    // Statistics fuse into the digest walk: the sum runs in the same
-    // left-to-right order a plain `iter().sum()` would, so `mean` is
-    // bit-identical to a separate-pass formulation, and the frame makes
-    // one trip through memory instead of two.
-    let mut sum = 0.0;
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    let mut h = FpHasher::new();
-    match digest {
-        FrameDigest::Pinned => {
-            h.write_str("camj.frame-digest/v1");
-            for v in noisy {
-                sum += *v;
-                min = min.min(*v);
-                max = max.max(*v);
-                h.write_f64(*v);
-            }
-        }
-        FrameDigest::Bulk => {
-            h.write_str("camj.frame-digest-mc/v1");
-            // Chunked interleave: statistics and the word-at-a-time
-            // hash visit each span while it is still L1-resident.
-            // Hashing span-by-span yields the exact stream one whole-
-            // slice call would.
-            for span in noisy.chunks(FRAME_CHUNK) {
-                for v in span {
-                    sum += *v;
-                    min = min.min(*v);
-                    max = max.max(*v);
-                }
-                h.write_f64_slice_bulk(span);
-            }
-        }
-    }
-    let mean = sum / noisy.len().max(1) as f64;
-    let (hi, lo) = h.finish().parts();
-    FrameSimReport {
-        seed,
-        stimulus: stimulus.to_owned(),
-        width,
-        height,
-        channels,
-        stages,
-        output: OutputStats {
-            mean,
-            min,
-            max,
-            noise_rms,
-            snr_db: functional::snr_db(signal_rms, noise_rms),
-        },
-        digest: format!("{hi:016x}{lo:016x}"),
-        dag: None,
-    }
-}
-
-/// RMS deviation of `noisy` from `clean`, fraction of full scale.
-fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {
-    if noisy.is_empty() {
-        return 0.0;
-    }
-    (noisy
-        .iter()
-        .zip(clean)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        / noisy.len() as f64)
-        .sqrt()
 }

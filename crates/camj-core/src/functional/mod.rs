@@ -28,6 +28,11 @@
 //! byte-identical across runs, across serial/parallel sweeps, and
 //! across `RAYON_NUM_THREADS` settings.
 //!
+//! This module holds the report types and stimuli; the frame engine
+//! (the `ValidatedModel` entry points and the seed-independent frame
+//! plan) lives in `frame.rs`, the digital-DAG pass in `dag.rs`. The
+//! energy pipeline only reads the analytic noise budget back.
+//!
 //! [`ValidatedModel::noise_report_at_fps`]: crate::energy::ValidatedModel::noise_report_at_fps
 //! [`ValidatedModel::simulate_frame`]: crate::energy::ValidatedModel::simulate_frame
 
@@ -42,6 +47,9 @@ use camj_tech::units::Time;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod dag;
+mod frame;
 
 /// The mean signal level (fraction of full scale) the analytic noise
 /// report attached to every estimate assumes: a mid-scale scene, the
