@@ -246,18 +246,6 @@ const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep
 /// the bench fails (the CI regression gate).
 const REGRESSION_FACTOR: f64 = 1.5;
 
-/// The acceptance bar for the Monte-Carlo frame path: a 16-seed batch
-/// must cost well under 16x one scalar-reference frame. The original
-/// analog-only bar was ~4x; since the functional-pipeline PR every
-/// frame also executes the digital DAG, which is per-seed
-/// deterministic work a batch cannot amortize the way it amortizes
-/// noise sampling, so the observed ratio sits near 6x on Ed-Gaze
-/// (three DAG stages incl. a 640x400 input). Asserted with headroom
-/// for timer noise on busy CI hosts; the measured ratio is recorded in
-/// `frame_sim.mc16_over_scalar`, and absolute regressions are gated by
-/// the committed `frame_sim.mc16_ms` baseline.
-const MC16_SCALAR_BUDGET: f64 = 8.0;
-
 /// Seeds in the benchmarked Monte-Carlo batch.
 const MC_SEEDS: u64 = 16;
 
@@ -279,9 +267,8 @@ fn time_median(samples: usize, f: &dyn Fn()) -> f64 {
 
 /// Medians of the two per-point hot loops on the Ed-Gaze 2D-In sensor:
 /// the cold-miss elastic simulation (model build + arena-backed cycle
-/// sim, what every cache miss in a sweep pays) and the functional frame
-/// paths (scalar reference, vectorized single-seed, 16-seed ziggurat
-/// Monte-Carlo batch).
+/// sim, what every cache miss in a sweep pays) and the frame engine
+/// (one seed, and a 16-seed Monte-Carlo batch).
 fn hot_loop_records(samples: usize) -> (ElasticRecord, FrameRecord) {
     let cold_sim_s = time_median(samples, &|| {
         let model = edgaze::model(SensorVariant::TwoDIn, ProcessNode::N65)
@@ -294,13 +281,6 @@ fn hot_loop_records(samples: usize) -> (ElasticRecord, FrameRecord) {
         .expect("builds")
         .into_validated();
     let stimulus = Stimulus::uniform(0.5);
-    let scalar_s = time_median(samples, &|| {
-        black_box(
-            model
-                .simulate_frame_reference(0, &stimulus)
-                .expect("simulates"),
-        );
-    });
     let vectorized_s = time_median(samples, &|| {
         black_box(model.simulate_frame(0, &stimulus).expect("simulates"));
     });
@@ -316,17 +296,12 @@ fn hot_loop_records(samples: usize) -> (ElasticRecord, FrameRecord) {
         cold_sim_s * 1e3
     );
     println!(
-        "  frame scalar reference:          {:8.2} ms",
-        scalar_s * 1e3
-    );
-    println!(
         "  frame vectorized:                {:8.2} ms",
         vectorized_s * 1e3
     );
     println!(
-        "  frame mc{MC_SEEDS} (ziggurat batch):       {:8.2} ms  ({:.2}x scalar)",
-        mc16_s * 1e3,
-        mc16_s / scalar_s
+        "  frame mc{MC_SEEDS} (ziggurat batch):       {:8.2} ms",
+        mc16_s * 1e3
     );
 
     (
@@ -339,11 +314,9 @@ fn hot_loop_records(samples: usize) -> (ElasticRecord, FrameRecord) {
             workload: "edgaze 2D-In @ 65nm".to_owned(),
             stimulus: "uniform(0.5)".to_owned(),
             samples,
-            scalar_reference_ms: scalar_s * 1e3,
             vectorized_ms: vectorized_s * 1e3,
             mc16_seeds: MC_SEEDS as usize,
             mc16_ms: mc16_s * 1e3,
-            mc16_over_scalar: mc16_s / scalar_s,
         },
     )
 }
@@ -368,7 +341,6 @@ fn committed_baselines() -> CommittedBench {
     };
     CommittedBench {
         cold_sim_ms: num("elastic_sim", "cold_sim_ms"),
-        scalar_reference_ms: num("frame_sim", "scalar_reference_ms"),
         vectorized_ms: num("frame_sim", "vectorized_ms"),
         mc16_ms: num("frame_sim", "mc16_ms"),
         full_dag_frame_ms: num("functional", "full_dag_frame_ms"),
@@ -470,20 +442,11 @@ fn assert_no_regression(elastic: &ElasticRecord, frame: &FrameRecord, func: &Fun
     // CAMJ_BENCH_ACCEPT=1 skips the committed-baseline gates for one
     // run, so an *intentional* hot-loop cost change can regenerate
     // BENCH_sweep.json (the bench gates before it rewrites the file).
-    // Absolute acceptance bars below still apply.
     if std::env::var_os("CAMJ_BENCH_ACCEPT").is_some_and(|v| v == "1") {
         println!("  CAMJ_BENCH_ACCEPT=1: skipping committed-baseline regression gates");
     } else {
         check_committed_gates(elastic, frame, func);
     }
-    assert!(
-        frame.mc16_ms < MC16_SCALAR_BUDGET * frame.scalar_reference_ms,
-        "a {MC_SEEDS}-seed Monte-Carlo batch must stay well under {MC16_SCALAR_BUDGET}x one \
-         scalar frame, got {:.2}x ({:.2} ms vs {:.2} ms)",
-        frame.mc16_over_scalar,
-        frame.mc16_ms,
-        frame.scalar_reference_ms
-    );
 }
 
 /// The committed-baseline half of [`assert_no_regression`].
@@ -501,11 +464,6 @@ fn check_committed_gates(elastic: &ElasticRecord, frame: &FrameRecord, func: &Fu
             "elastic_sim.cold_sim_ms",
             elastic.cold_sim_ms,
             committed.cold_sim_ms,
-        ),
-        (
-            "frame_sim.scalar_reference_ms",
-            frame.scalar_reference_ms,
-            committed.scalar_reference_ms,
         ),
         (
             "frame_sim.vectorized_ms",
@@ -1047,21 +1005,17 @@ struct ElasticRecord {
     cold_sim_ms: f64,
 }
 
-/// The frame-simulation hot-loop record (PR 6). `scalar_reference` is
-/// the pre-vectorization per-pixel path kept as the semantic oracle;
-/// `vectorized` is the single-seed chunked path (bit-identical output);
-/// `mc16` is a 16-seed ziggurat Monte-Carlo batch, whose acceptance bar
-/// is costing less than ~4x one scalar frame.
+/// The frame-simulation hot-loop record: `vectorized` is one seed
+/// through the frame engine, `mc16` a 16-seed Monte-Carlo batch
+/// through the same engine.
 #[derive(serde::Serialize)]
 struct FrameRecord {
     workload: String,
     stimulus: String,
     samples: usize,
-    scalar_reference_ms: f64,
     vectorized_ms: f64,
     mc16_seeds: usize,
     mc16_ms: f64,
-    mc16_over_scalar: f64,
 }
 
 /// The subset of the committed `BENCH_sweep.json` the regression gate
@@ -1070,7 +1024,6 @@ struct FrameRecord {
 #[derive(Default)]
 struct CommittedBench {
     cold_sim_ms: Option<f64>,
-    scalar_reference_ms: Option<f64>,
     vectorized_ms: Option<f64>,
     mc16_ms: Option<f64>,
     full_dag_frame_ms: Option<f64>,

@@ -46,6 +46,16 @@ pub enum CamjError {
     },
     /// The cycle-level simulation itself failed.
     Sim(SimError),
+    /// A functional simulation would allocate a tensor above
+    /// [`MAX_FRAME_ELEMENTS`](crate::functional::MAX_FRAME_ELEMENTS).
+    FrameTooLarge {
+        /// The algorithm stage whose input or output is too large.
+        stage: String,
+        /// Elements the tensor would hold.
+        elements: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for CamjError {
@@ -68,6 +78,15 @@ impl fmt::Display for CamjError {
                  {frame_time_s:.6} s; no budget remains for the analog pipeline"
             ),
             CamjError::Sim(e) => write!(f, "cycle-level simulation failed: {e}"),
+            CamjError::FrameTooLarge {
+                stage,
+                elements,
+                limit,
+            } => write!(
+                f,
+                "stage '{stage}' needs a {elements}-element tensor, above the functional \
+                 simulation limit of {limit} elements"
+            ),
         }
     }
 }

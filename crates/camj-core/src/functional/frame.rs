@@ -2,19 +2,20 @@
 //! noise chain, its analytic budget, and the frame engine that renders
 //! a stimulus and pushes seeded noise realisations through it.
 
+use camj_analog::noise::NoiseSource;
 use camj_tech::fingerprint::{Fingerprint, FpHasher};
 
 use crate::delay::DelayEstimate;
 use crate::energy::ValidatedModel;
 use crate::error::CamjError;
 use crate::hw::{AnalogUnitDesc, HardwareDesc};
-use crate::sw::StageKind;
+use crate::sw::{AlgorithmGraph, StageKind};
 
 use super::dag::DagPlan;
 use super::{
     DagSim, FrameSimReport, McDagSim, McDagStageSim, McFrameSimReport, McOutputStats,
     McTaskMetrics, NoiseReport, NoiseStage, OutputStats, StageMcSim, StageNoise, StageSim,
-    Stimulus, TaskMetrics, DEFAULT_SIGNAL_FRACTION,
+    Stimulus, TaskMetrics, DEFAULT_SIGNAL_FRACTION, MAX_FRAME_ELEMENTS,
 };
 
 /// Domain tag of the functional (task-metrics) fingerprint; bump when
@@ -59,8 +60,6 @@ impl ValidatedModel {
     /// Resolves the noise chain: one [`NoiseStage`] per analog unit,
     /// carrying the component's declared [`NoiseSource`]s and the
     /// implicit quantization of a digitising back end.
-    ///
-    /// [`NoiseSource`]: camj_analog::noise::NoiseSource
     fn noise_chain(&self) -> Vec<NoiseStage> {
         self.analog_signal_chain()
             .into_iter()
@@ -129,7 +128,8 @@ impl ValidatedModel {
     /// The analytic noise budget at an explicit frame rate, quoted at
     /// the default mid-scale signal level. This is the quantity the
     /// explorer's `snr` objective minimises (as output noise RMS), and
-    /// what [`EstimateReport::noise`](crate::energy::EstimateReport) carries.
+    /// what [`EstimateReport::noise`](crate::energy::EstimateReport)
+    /// carries.
     ///
     /// # Errors
     ///
@@ -143,9 +143,14 @@ impl ValidatedModel {
 
     /// Simulates one frame functionally: renders `stimulus` at the
     /// input stage's resolution, pushes it through the analog signal
-    /// chain injecting each stage's noise with a seeded Gaussian
-    /// sampler (and applying real mid-tread quantization at digitising
-    /// stages), and measures per-stage SNR against the clean frame.
+    /// chain injecting each stage's noise with a seeded ziggurat
+    /// Gaussian sampler (and applying real mid-tread quantization at
+    /// digitising stages), and measures per-stage SNR against the clean
+    /// frame.
+    ///
+    /// This is [`Self::simulate_frames`] on a batch of one: the same
+    /// per-seed routine, so the frame, its digest and the DAG digest
+    /// equal `simulate_frames(&[seed], stimulus)`'s.
     ///
     /// Determinism contract: the result is a pure function of
     /// `(model, seed, stimulus)` — per-stage RNG streams are derived
@@ -155,6 +160,8 @@ impl ValidatedModel {
     ///
     /// # Errors
     ///
+    /// * [`CamjError::FrameTooLarge`] when the input frame or a DAG
+    ///   stage tensor exceeds [`MAX_FRAME_ELEMENTS`],
     /// * [`CamjError::CheckDag`] when the algorithm has no input stage
     ///   to render the stimulus at,
     /// * the delay-solve errors of [`Self::estimate_delay`] (exposure
@@ -178,14 +185,8 @@ impl ValidatedModel {
     /// available. Because every seed's RNG streams are derived by
     /// fingerprint-mixing (never shared), each per-seed frame — and
     /// therefore the whole report — is byte-identical whatever
-    /// `RAYON_NUM_THREADS` says.
-    ///
-    /// Batch runs draw noise with the ziggurat sampler instead of the
-    /// single-seed path's digest-pinned Box–Muller stream: the samples
-    /// are exactly N(0, 1) and fully deterministic per seed, but
-    /// `simulate_frames(&[s], …)` is *not* bitwise the same frame as
-    /// [`Self::simulate_frame`]`(s, …)` — it is a different (equally
-    /// valid) realisation, at a fraction of the per-seed cost.
+    /// `RAYON_NUM_THREADS` says, and seed `s`'s frame is the one
+    /// [`Self::simulate_frame`]`(s, …)` returns.
     ///
     /// # Errors
     ///
@@ -204,11 +205,8 @@ impl ValidatedModel {
         let _span = obs_core::span("frame.simulate_mc");
         obs_core::counter("frame.seeds", 0, seeds.len() as u64);
         let plan = self.frame_plan(stimulus)?;
-        let stds = plan.noise_stds();
-        let reports: Vec<FrameSimReport> = seeds
-            .par_iter()
-            .map(|&seed| plan.simulate_fast(seed, &stds))
-            .collect();
+        let reports: Vec<FrameSimReport> =
+            seeds.par_iter().map(|&seed| plan.simulate(seed)).collect();
         let stages = (0..reports[0].stages.len())
             .map(|i| {
                 let rms: Vec<f64> = reports.iter().map(|r| r.stages[i].noise_rms).collect();
@@ -418,10 +416,12 @@ impl ValidatedModel {
 
     /// Resolves everything about a frame simulation that does not
     /// depend on the seed: the rendered clean frame, the signal level,
-    /// and each stage's variance terms. One plan serves every seed of a
-    /// Monte-Carlo run.
+    /// each stage's per-pixel noise standard deviation, and the DAG
+    /// pass with its clean reference tensors. One plan serves every
+    /// seed of a Monte-Carlo run.
     fn frame_plan(&self, stimulus: &Stimulus) -> Result<FramePlan, CamjError> {
         let _span = obs_core::span("frame.plan");
+        check_tensor_sizes(self.algorithm())?;
         let delay = self.estimate_delay()?;
         let input = self
             .algorithm()
@@ -444,37 +444,31 @@ impl ValidatedModel {
         let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
         let stages = self
             .noise_chain()
-            .iter()
-            .map(|stage| PlanStage {
-                unit: stage.unit.clone(),
+            .into_iter()
+            .map(|stage| {
                 // Only photon shot noise depends on the pixel value;
                 // every other source's variance is constant across the
-                // frame, so evaluate it once per stage. Per-pixel terms
-                // keep the exact per-source expression and summation
-                // order, so frames stay bit-identical to the scalar
-                // per-pixel evaluation.
-                terms: if stage.sources.is_empty() {
-                    None
-                } else {
-                    Some(
-                        stage
-                            .sources
-                            .iter()
-                            .map(|s| match *s {
-                                camj_analog::noise::NoiseSource::PhotonShot {
-                                    full_well_electrons,
-                                } => VarTerm::Shot {
-                                    full_well_electrons,
-                                },
-                                _ => {
-                                    let rms = s.rms_fraction(0.0, exposure, temperature_k);
-                                    VarTerm::Constant(rms * rms)
-                                }
-                            })
-                            .collect(),
-                    )
-                },
-                quant_bits: stage.quant_bits,
+                // frame, so evaluate it once per stage.
+                let terms: Vec<VarTerm> = stage
+                    .sources
+                    .iter()
+                    .map(|s| match *s {
+                        NoiseSource::PhotonShot {
+                            full_well_electrons,
+                        } => VarTerm::Shot {
+                            full_well_electrons,
+                        },
+                        _ => {
+                            let rms = s.rms_fraction(0.0, exposure, temperature_k);
+                            VarTerm::Constant(rms * rms)
+                        }
+                    })
+                    .collect();
+                PlanStage {
+                    unit: stage.unit,
+                    std: (!terms.is_empty()).then(|| noise_std(&terms, &clean)),
+                    quant_bits: stage.quant_bits,
+                }
             })
             .collect();
         Ok(FramePlan {
@@ -488,116 +482,27 @@ impl ValidatedModel {
             dag,
         })
     }
+}
 
-    /// The original per-pixel scalar frame simulation, retained
-    /// verbatim as the bit-exactness oracle for the vectorized path
-    /// (property tests compare digests against it). Not part of the
-    /// public API surface.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::simulate_frame`].
-    #[doc(hidden)]
-    pub fn simulate_frame_reference(
-        &self,
-        seed: u64,
-        stimulus: &Stimulus,
-    ) -> Result<FrameSimReport, CamjError> {
-        let delay = self.estimate_delay()?;
-        let input = self
-            .algorithm()
-            .stages()
-            .iter()
-            .find(|s| matches!(s.kind(), StageKind::Input))
-            .ok_or_else(|| CamjError::CheckDag {
-                reason: "functional simulation needs an input stage to render the stimulus at"
-                    .to_owned(),
-            })?;
-        let size = input.output_size();
-        let (width, height, channels) = (size.width, size.height, size.channels);
-        let pixels = size.count() as usize;
-
-        let clean = stimulus.render(width, height, channels);
-        let signal_rms = (clean.iter().map(|v| v * v).sum::<f64>() / pixels.max(1) as f64).sqrt();
-
-        let exposure = delay.analog_unit_time;
-        let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
-        let mut noisy = clean.clone();
-        let mut stages = Vec::new();
-        for (index, stage) in self.noise_chain().iter().enumerate() {
-            let mut rng = super::stage_rng(seed, index, &stage.unit);
-            if !stage.sources.is_empty() {
-                let terms: Vec<VarTerm> = stage
-                    .sources
-                    .iter()
-                    .map(|s| match *s {
-                        camj_analog::noise::NoiseSource::PhotonShot {
-                            full_well_electrons,
-                        } => VarTerm::Shot {
-                            full_well_electrons,
-                        },
-                        _ => {
-                            let rms = s.rms_fraction(0.0, exposure, temperature_k);
-                            VarTerm::Constant(rms * rms)
-                        }
-                    })
-                    .collect();
-                for (value, reference) in noisy.iter_mut().zip(&clean) {
-                    // Signal-dependent sources (photon shot) read the
-                    // clean pixel value: deterministic, and unbiased by
-                    // upstream noise realisations.
-                    let var: f64 = terms
-                        .iter()
-                        .map(|term| match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                let rms = (*reference / full_well_electrons).sqrt();
-                                rms * rms
-                            }
-                            VarTerm::Constant(var) => var,
-                        })
-                        .sum();
-                    if var > 0.0 {
-                        *value += super::gaussian(&mut rng) * var.sqrt();
-                    }
-                    // The physical rails clip: charge saturates at the
-                    // full well, swings at the supplies.
-                    *value = value.clamp(0.0, 1.0);
-                }
+/// Rejects a design whose functional simulation would allocate a
+/// tensor above [`MAX_FRAME_ELEMENTS`]: the rendered input frame or any
+/// stage's input or output. Runs before anything is allocated, so an
+/// oversized description fails with an error instead of aborting the
+/// process.
+fn check_tensor_sizes(algo: &AlgorithmGraph) -> Result<(), CamjError> {
+    for stage in algo.stages() {
+        for size in [stage.input_size(), stage.output_size()] {
+            let elements = size.count();
+            if elements > MAX_FRAME_ELEMENTS {
+                return Err(CamjError::FrameTooLarge {
+                    stage: stage.name().to_owned(),
+                    elements,
+                    limit: MAX_FRAME_ELEMENTS,
+                });
             }
-            if let Some(bits) = stage.quant_bits {
-                for value in &mut noisy {
-                    *value = camj_digital::quantize::quantize(*value, bits);
-                }
-            }
-            let noise_rms = rms_error(&noisy, &clean);
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: super::snr_db(signal_rms, noise_rms),
-            });
         }
-
-        let mut report = finish_frame_report(
-            seed,
-            &stimulus.to_string(),
-            width,
-            height,
-            channels,
-            stages,
-            signal_rms,
-            &noisy,
-            &clean,
-            FrameDigest::Pinned,
-        );
-        // The digital-DAG pass runs strictly after the analog report is
-        // sealed, on the final frame — the analog digest stream is
-        // untouched, so committed pre-DAG digests remain valid.
-        report.dag = DagPlan::build(self.algorithm(), (width, height, channels), &clean)
-            .map(|dag| dag.run(&noisy));
-        Ok(report)
     }
+    Ok(())
 }
 
 /// One resolved variance term of a noise stage (see
@@ -607,13 +512,48 @@ enum VarTerm {
     Constant(f64),
 }
 
+/// A stage's per-pixel noise standard deviation: the variance terms
+/// summed in source order per pixel, then `sqrt` (`0` where nothing
+/// is added). The variance is seed-independent, so the plan computes
+/// it once and every seed's loop touches no variance term, no
+/// division and no square root.
+fn noise_std(terms: &[VarTerm], clean: &[f64]) -> Vec<f64> {
+    let mut std = vec![0.0_f64; clean.len()];
+    for (std_span, clean_span) in std.chunks_mut(FRAME_CHUNK).zip(clean.chunks(FRAME_CHUNK)) {
+        for term in terms {
+            match *term {
+                VarTerm::Shot {
+                    full_well_electrons,
+                } => {
+                    // Signal-dependent sources (photon shot) read the
+                    // clean pixel value: deterministic, and unbiased by
+                    // upstream noise realisations.
+                    for (v, reference) in std_span.iter_mut().zip(clean_span) {
+                        let rms = (*reference / full_well_electrons).sqrt();
+                        *v += rms * rms;
+                    }
+                }
+                VarTerm::Constant(c) => {
+                    for v in std_span.iter_mut() {
+                        *v += c;
+                    }
+                }
+            }
+        }
+        for v in std_span.iter_mut() {
+            *v = if *v > 0.0 { v.sqrt() } else { 0.0 };
+        }
+    }
+    std
+}
+
 /// One stage of a frame plan: the unit name (cold path — report rows
-/// only), its resolved variance terms, and the back-end quantization.
+/// only), its per-pixel noise std, and the back-end quantization.
 struct PlanStage {
     unit: String,
     /// `None` when the stage declares no sources (noise injection is
-    /// skipped entirely, matching the scalar path).
-    terms: Option<Vec<VarTerm>>,
+    /// skipped entirely and the stage draws no normals).
+    std: Option<Vec<f64>>,
     quant_bits: Option<u32>,
 }
 
@@ -634,159 +574,25 @@ struct FramePlan {
     dag: Option<DagPlan>,
 }
 
-/// Pixels processed per vectorized span: the variance and normal
-/// scratch buffers stay L1-resident at this size.
+/// Pixels processed per span: the normal scratch buffer stays
+/// L1-resident at this size.
 pub(super) const FRAME_CHUNK: usize = 1024;
 
 impl FramePlan {
-    /// Pushes one seeded noise realisation through the planned chain.
+    /// Pushes one seeded noise realisation through the planned chain —
+    /// the one per-seed frame routine behind both
+    /// [`ValidatedModel::simulate_frame`] and
+    /// [`ValidatedModel::simulate_frames`].
     ///
-    /// The hot loops run per [`FRAME_CHUNK`] span: variance terms
-    /// accumulate term-outer into a span buffer (preserving the scalar
-    /// path's per-pixel summation order), Gaussians are block-filled
-    /// for exactly the pixels with positive variance (preserving the
-    /// scalar path's RNG consumption order), then applied and clamped
-    /// in pixel order — so the frame is bit-identical to
-    /// [`ValidatedModel::simulate_frame_reference`].
+    /// Noise is applied from the plan's per-pixel std lanes and drawn
+    /// with the ziggurat sampler
+    /// ([`rand::normal::fill_standard_normal_fast`]), one normal per
+    /// pixel of every noisy stage, one [`FRAME_CHUNK`] span at a time.
+    /// The frame is bit-identical to a per-pixel scalar evaluation of
+    /// the same chain (pinned by the oracle in this module's tests).
     fn simulate(&self, seed: u64) -> FrameSimReport {
         // One coarse span per frame; the chunked loops below are never
         // probed individually.
-        let _span = obs_core::span("frame.simulate");
-        obs_core::counter("frame.pixels", 0, self.clean.len() as u64);
-        obs_core::counter(
-            "frame.chunks",
-            0,
-            (self.clean.len().div_ceil(FRAME_CHUNK) * self.stages.len()) as u64,
-        );
-        let mut noisy = self.clean.clone();
-        let mut var = [0.0_f64; FRAME_CHUNK];
-        let mut normals = [0.0_f64; FRAME_CHUNK];
-        let mut stages = Vec::with_capacity(self.stages.len());
-        for (index, stage) in self.stages.iter().enumerate() {
-            let mut rng = super::stage_rng(seed, index, &stage.unit);
-            if let Some(terms) = &stage.terms {
-                for (noisy_span, clean_span) in noisy
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
-                    let var = &mut var[..noisy_span.len()];
-                    var.fill(0.0);
-                    for term in terms {
-                        match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                // Signal-dependent sources (photon
-                                // shot) read the clean pixel value:
-                                // deterministic, and unbiased by
-                                // upstream noise realisations.
-                                for (v, reference) in var.iter_mut().zip(clean_span) {
-                                    let rms = (*reference / full_well_electrons).sqrt();
-                                    *v += rms * rms;
-                                }
-                            }
-                            VarTerm::Constant(c) => {
-                                for v in var.iter_mut() {
-                                    *v += c;
-                                }
-                            }
-                        }
-                    }
-                    let draws = var.iter().filter(|v| **v > 0.0).count();
-                    let normals = &mut normals[..draws];
-                    rand::normal::fill_standard_normal(&mut rng, normals);
-                    let mut next = 0;
-                    for (value, v) in noisy_span.iter_mut().zip(var.iter()) {
-                        if *v > 0.0 {
-                            *value += normals[next] * v.sqrt();
-                            next += 1;
-                        }
-                        // The physical rails clip: charge saturates at
-                        // the full well, swings at the supplies.
-                        *value = value.clamp(0.0, 1.0);
-                    }
-                }
-            }
-            if let Some(bits) = stage.quant_bits {
-                camj_digital::quantize::quantize_slice(&mut noisy, bits);
-            }
-            let noise_rms = rms_error(&noisy, &self.clean);
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: super::snr_db(self.signal_rms, noise_rms),
-            });
-        }
-        let mut report = finish_frame_report(
-            seed,
-            &self.stimulus,
-            self.width,
-            self.height,
-            self.channels,
-            stages,
-            self.signal_rms,
-            &noisy,
-            &self.clean,
-            FrameDigest::Pinned,
-        );
-        // DAG pass after the analog report is sealed: the committed
-        // analog digest stream stays exactly as before.
-        report.dag = self.dag.as_ref().map(|dag| dag.run(&noisy));
-        report
-    }
-
-    /// Resolves every stage's per-pixel noise standard deviation. The
-    /// variance is seed-independent, so a Monte-Carlo batch computes
-    /// this once and shares it across all seeds — the per-seed loop
-    /// then touches no variance term, no division, and no square root.
-    /// Accumulation order matches [`Self::simulate`] exactly, so the
-    /// stored `std` equals the bits `v.sqrt()` would produce there.
-    fn noise_stds(&self) -> Vec<Option<Vec<f64>>> {
-        self.stages
-            .iter()
-            .map(|stage| {
-                let terms = stage.terms.as_ref()?;
-                let mut std = vec![0.0_f64; self.clean.len()];
-                for (std_span, clean_span) in std
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
-                    for term in terms {
-                        match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                for (v, reference) in std_span.iter_mut().zip(clean_span) {
-                                    let rms = (*reference / full_well_electrons).sqrt();
-                                    *v += rms * rms;
-                                }
-                            }
-                            VarTerm::Constant(c) => {
-                                for v in std_span.iter_mut() {
-                                    *v += c;
-                                }
-                            }
-                        }
-                    }
-                    for v in std_span.iter_mut() {
-                        *v = if *v > 0.0 { v.sqrt() } else { 0.0 };
-                    }
-                }
-                Some(std)
-            })
-            .collect()
-    }
-
-    /// The Monte-Carlo batch realisation: same planned chain, but noise
-    /// is applied from the precomputed [`Self::noise_stds`] lanes and
-    /// drawn with the ziggurat sampler
-    /// ([`rand::normal::fill_standard_normal_fast`]) — exactly N(0, 1),
-    /// deterministic for the seed, but a different stream than the
-    /// single-seed path, whose Box–Muller draw order is pinned by the
-    /// committed frame digests. Per-seed cost is a fraction of a scalar
-    /// frame, which is what makes `mc_snr:<samples>` affordable inside
-    /// a sweep.
-    fn simulate_fast(&self, seed: u64, stds: &[Option<Vec<f64>>]) -> FrameSimReport {
         let _span = obs_core::span("frame.simulate");
         obs_core::counter("frame.pixels", 0, self.clean.len() as u64);
         obs_core::counter(
@@ -804,7 +610,7 @@ impl FramePlan {
             // whichever fused pass ran last (pixel order, so the value
             // matches what `rms_error` would measure).
             let mut sq = None;
-            if let Some(std) = &stds[index] {
+            if let Some(std) = &stage.std {
                 let mut acc = 0.0;
                 for ((noisy_span, std_span), clean_span) in noisy
                     .chunks_mut(FRAME_CHUNK)
@@ -824,6 +630,8 @@ impl FramePlan {
                         .zip(normals.iter())
                         .zip(clean_span.iter())
                     {
+                        // The physical rails clip: charge saturates at
+                        // the full well, swings at the supplies.
                         *value = (*value + n * s).clamp(0.0, 1.0);
                         let d = *value - c;
                         acc += d * d;
@@ -846,107 +654,54 @@ impl FramePlan {
                 snr_db: super::snr_db(self.signal_rms, noise_rms),
             });
         }
-        let mut report = finish_frame_report(
-            seed,
-            &self.stimulus,
-            self.width,
-            self.height,
-            self.channels,
-            stages,
-            self.signal_rms,
-            &noisy,
-            &self.clean,
-            FrameDigest::Bulk,
-        );
-        report.dag = self.dag.as_ref().map(|dag| dag.run(&noisy));
-        report
-    }
-}
-
-/// Digest flavour of a finished frame (see [`finish_frame_report`]).
-enum FrameDigest {
-    /// Per-value hashing under the committed `camj.frame-digest/v1`
-    /// domain — the single-seed compatibility digest.
-    Pinned,
-    /// Word-at-a-time hashing under its own domain — ~6x cheaper, used
-    /// by Monte-Carlo batch frames (which are not stream-compatible
-    /// with the pinned path anyway).
-    Bulk,
-}
-
-/// Shared tail of a frame simulation: output statistics and the
-/// bit-pinning digest of the final frame.
-#[allow(clippy::too_many_arguments)]
-fn finish_frame_report(
-    seed: u64,
-    stimulus: &str,
-    width: u32,
-    height: u32,
-    channels: u32,
-    stages: Vec<StageSim>,
-    signal_rms: f64,
-    noisy: &[f64],
-    clean: &[f64],
-    digest: FrameDigest,
-) -> FrameSimReport {
-    // The last stage already measured the final frame against the
-    // clean frame; recompute only when there was no stage at all.
-    let noise_rms = stages
-        .last()
-        .map_or_else(|| rms_error(noisy, clean), |s| s.noise_rms);
-    // Statistics fuse into the digest walk: the sum runs in the same
-    // left-to-right order a plain `iter().sum()` would, so `mean` is
-    // bit-identical to a separate-pass formulation, and the frame makes
-    // one trip through memory instead of two.
-    let mut sum = 0.0;
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    let mut h = FpHasher::new();
-    match digest {
-        FrameDigest::Pinned => {
-            h.write_str("camj.frame-digest/v1");
-            for v in noisy {
+        // The last stage already measured the final frame against the
+        // clean frame; recompute only when there was no stage at all.
+        let noise_rms = stages
+            .last()
+            .map_or_else(|| rms_error(&noisy, &self.clean), |s| s.noise_rms);
+        // Statistics fuse into the digest walk: each span is summed,
+        // bounded and hashed while it is still L1-resident. The sum
+        // runs left to right, as a plain `iter().sum()` would, and
+        // hashing span by span yields the exact stream one whole-slice
+        // call would.
+        let mut sum = 0.0;
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut h = FpHasher::new();
+        h.write_str(FRAME_DIGEST_DOMAIN);
+        for span in noisy.chunks(FRAME_CHUNK) {
+            for v in span {
                 sum += *v;
                 min = min.min(*v);
                 max = max.max(*v);
-                h.write_f64(*v);
             }
+            h.write_f64_slice_bulk(span);
         }
-        FrameDigest::Bulk => {
-            h.write_str("camj.frame-digest-mc/v1");
-            // Chunked interleave: statistics and the word-at-a-time
-            // hash visit each span while it is still L1-resident.
-            // Hashing span-by-span yields the exact stream one whole-
-            // slice call would.
-            for span in noisy.chunks(FRAME_CHUNK) {
-                for v in span {
-                    sum += *v;
-                    min = min.min(*v);
-                    max = max.max(*v);
-                }
-                h.write_f64_slice_bulk(span);
-            }
+        let (hi, lo) = h.finish().parts();
+        FrameSimReport {
+            seed,
+            stimulus: self.stimulus.clone(),
+            width: self.width,
+            height: self.height,
+            channels: self.channels,
+            stages,
+            output: OutputStats {
+                mean: sum / noisy.len().max(1) as f64,
+                min,
+                max,
+                noise_rms,
+                snr_db: super::snr_db(self.signal_rms, noise_rms),
+            },
+            digest: format!("{hi:016x}{lo:016x}"),
+            // The digital-DAG pass runs on the finished frame and draws
+            // no randomness.
+            dag: self.dag.as_ref().map(|dag| dag.run(&noisy)),
         }
-    }
-    let mean = sum / noisy.len().max(1) as f64;
-    let (hi, lo) = h.finish().parts();
-    FrameSimReport {
-        seed,
-        stimulus: stimulus.to_owned(),
-        width,
-        height,
-        channels,
-        stages,
-        output: OutputStats {
-            mean,
-            min,
-            max,
-            noise_rms,
-            snr_db: super::snr_db(signal_rms, noise_rms),
-        },
-        digest: format!("{hi:016x}{lo:016x}"),
-        dag: None,
     }
 }
+
+/// Domain tag of a frame digest: word-at-a-time hashing of the final
+/// frame's raw `f64` bits.
+pub(super) const FRAME_DIGEST_DOMAIN: &str = "camj.frame-digest-mc/v1";
 
 /// RMS deviation of `noisy` from `clean`, fraction of full scale.
 pub(super) fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {
@@ -960,4 +715,287 @@ pub(super) fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {
         .sum::<f64>()
         / noisy.len() as f64)
         .sqrt()
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use camj_analog::array::AnalogArray;
+    use camj_analog::components::{aps_4t, column_adc, ApsParams};
+    use camj_digital::compute::ComputeUnit;
+    use camj_digital::memory::{MemoryEnergy, MemoryStructure};
+    use camj_tech::units::Energy;
+
+    use super::*;
+    use crate::energy::CamJ;
+    use crate::functional::{snr_db, stage_rng};
+    use crate::hw::{AnalogCategory, DigitalUnitDesc, Layer, MemoryDesc};
+    use crate::mapping::Mapping;
+    use crate::sw::Stage;
+
+    /// Front-end constants of the bundled workloads.
+    const FULL_WELL_ELECTRONS: f64 = 10_000.0;
+    const DARK_CURRENT_E_PER_S: f64 = 50.0;
+    const READ_NOISE_FRACTION: f64 = 0.001;
+
+    /// The per-pixel scalar oracle of the frame engine: each pixel's
+    /// variance summed source by source, one ziggurat normal per pixel
+    /// of every stage that declares sources, clamp, scalar quantize,
+    /// and a separate pass for every statistic and the digest. The
+    /// whole stage is drawn in one sampler call: the ziggurat stream is
+    /// block-splittable, so this is the stream the engine consumes span
+    /// by span.
+    fn scalar_reference(model: &ValidatedModel, seed: u64, stimulus: &Stimulus) -> FrameSimReport {
+        let delay = model.estimate_delay().unwrap();
+        let input = model
+            .algorithm()
+            .stages()
+            .iter()
+            .find(|s| matches!(s.kind(), StageKind::Input))
+            .unwrap();
+        let size = input.output_size();
+        let (width, height, channels) = (size.width, size.height, size.channels);
+        let clean = stimulus.render(width, height, channels);
+        let signal_rms =
+            (clean.iter().map(|v| v * v).sum::<f64>() / clean.len().max(1) as f64).sqrt();
+        let exposure = delay.analog_unit_time;
+        let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
+        let mut noisy = clean.clone();
+        let mut stages = Vec::new();
+        for (index, stage) in model.noise_chain().iter().enumerate() {
+            if !stage.sources.is_empty() {
+                let mut rng = stage_rng(seed, index, &stage.unit);
+                let mut normals = vec![0.0; noisy.len()];
+                rand::normal::fill_standard_normal_fast(&mut rng, &mut normals);
+                for ((value, reference), n) in noisy.iter_mut().zip(&clean).zip(&normals) {
+                    // Photon shot noise reads the clean pixel value;
+                    // every other source is signal-independent.
+                    let var: f64 = stage
+                        .sources
+                        .iter()
+                        .map(|s| {
+                            let rms = match *s {
+                                NoiseSource::PhotonShot {
+                                    full_well_electrons,
+                                } => (*reference / full_well_electrons).sqrt(),
+                                _ => s.rms_fraction(0.0, exposure, temperature_k),
+                            };
+                            rms * rms
+                        })
+                        .sum();
+                    let std = if var > 0.0 { var.sqrt() } else { 0.0 };
+                    *value = (*value + n * std).clamp(0.0, 1.0);
+                }
+            }
+            if let Some(bits) = stage.quant_bits {
+                for value in &mut noisy {
+                    *value = camj_digital::quantize::quantize(*value, bits);
+                }
+            }
+            let noise_rms = rms_error(&noisy, &clean);
+            stages.push(StageSim {
+                unit: stage.unit.clone(),
+                noise_rms,
+                snr_db: snr_db(signal_rms, noise_rms),
+            });
+        }
+        let noise_rms = rms_error(&noisy, &clean);
+        let mut h = FpHasher::new();
+        h.write_str(FRAME_DIGEST_DOMAIN);
+        h.write_f64_slice_bulk(&noisy);
+        let (hi, lo) = h.finish().parts();
+        FrameSimReport {
+            seed,
+            stimulus: stimulus.to_string(),
+            width,
+            height,
+            channels,
+            stages,
+            output: OutputStats {
+                mean: noisy.iter().sum::<f64>() / noisy.len().max(1) as f64,
+                min: noisy.iter().copied().fold(f64::INFINITY, f64::min),
+                max: noisy.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                noise_rms,
+                snr_db: snr_db(signal_rms, noise_rms),
+            },
+            digest: format!("{hi:016x}{lo:016x}"),
+            dag: DagPlan::build(model.algorithm(), (width, height, channels), &clean)
+                .map(|dag| dag.run(&noisy)),
+        }
+    }
+
+    /// A minimal two-stage analog chain (noisy pixel front end + ADC)
+    /// at an arbitrary sensor resolution, so properties can sweep frame
+    /// sizes the fixed workload models never exercise — including
+    /// sizes straddling the engine's internal span length.
+    fn toy_model(width: u32, height: u32, noisy_pixel: bool, fps: f64) -> ValidatedModel {
+        let mut algo = AlgorithmGraph::new();
+        algo.add_stage(Stage::input("Input", [width, height, 1]));
+        algo.add_stage(Stage::element_wise("Gain", [width, height, 1], 1));
+        algo.connect("Input", "Gain").unwrap();
+
+        let mut hw = HardwareDesc::new(200e6);
+        let mut pixel = aps_4t(ApsParams::default());
+        if noisy_pixel {
+            pixel = pixel
+                .with_noise_source(NoiseSource::photon_shot(FULL_WELL_ELECTRONS))
+                .with_noise_source(NoiseSource::dark_current(
+                    DARK_CURRENT_E_PER_S,
+                    FULL_WELL_ELECTRONS,
+                ))
+                .with_noise_source(NoiseSource::read(READ_NOISE_FRACTION));
+        }
+        hw.add_analog(
+            AnalogUnitDesc::new(
+                "PixelArray",
+                AnalogArray::new(pixel, height, width),
+                Layer::Sensor,
+                AnalogCategory::Sensing,
+            )
+            .with_pixel_pitch_um(3.0),
+        );
+        hw.add_analog(AnalogUnitDesc::new(
+            "ADCArray",
+            AnalogArray::new(column_adc(10), 1, width),
+            Layer::Sensor,
+            AnalogCategory::Sensing,
+        ));
+        hw.connect("PixelArray", "ADCArray");
+
+        let mapping = Mapping::new()
+            .map("Input", "PixelArray")
+            .map("Gain", "ADCArray");
+
+        CamJ::new(algo, hw, mapping, fps).unwrap().into_validated()
+    }
+
+    /// The paper's Fig. 5 model, as `descriptions/quickstart.json`
+    /// declares it: 2x2 binning in a noisy pixel array, a 10-bit column
+    /// ADC, and a 3x3 edge detector behind a line buffer.
+    fn quickstart_model() -> ValidatedModel {
+        let mut algo = AlgorithmGraph::new();
+        algo.add_stage(Stage::input("Input", [32, 32, 1]));
+        algo.add_stage(Stage::stencil(
+            "Binning",
+            [32, 32, 1],
+            [16, 16, 1],
+            [2, 2, 1],
+            [2, 2, 1],
+        ));
+        algo.add_stage(Stage::stencil(
+            "EdgeDetection",
+            [16, 16, 1],
+            [16, 16, 1],
+            [3, 3, 1],
+            [1, 1, 1],
+        ));
+        algo.connect("Input", "Binning").unwrap();
+        algo.connect("Binning", "EdgeDetection").unwrap();
+
+        let mut hw = HardwareDesc::new(200e6);
+        let pixel = aps_4t(ApsParams::default().with_shared_pixels(4))
+            .with_noise_source(NoiseSource::photon_shot(FULL_WELL_ELECTRONS))
+            .with_noise_source(NoiseSource::dark_current(
+                DARK_CURRENT_E_PER_S,
+                FULL_WELL_ELECTRONS,
+            ))
+            .with_noise_source(NoiseSource::read(READ_NOISE_FRACTION));
+        hw.add_analog(
+            AnalogUnitDesc::new(
+                "PixelArray",
+                AnalogArray::new(pixel, 16, 16),
+                Layer::Sensor,
+                AnalogCategory::Sensing,
+            )
+            .with_pixel_pitch_um(3.0),
+        );
+        hw.add_analog(AnalogUnitDesc::new(
+            "ADCArray",
+            AnalogArray::new(column_adc(10), 1, 16),
+            Layer::Sensor,
+            AnalogCategory::Sensing,
+        ));
+        hw.add_memory(MemoryDesc::new(
+            MemoryStructure::line_buffer("LineBuffer", 3, 16)
+                .with_energy(MemoryEnergy::from_pj_per_word(0.3, 0.3, 0.0))
+                .with_ports(3, 1),
+            Layer::Sensor,
+            0.0,
+        ));
+        hw.add_digital(DigitalUnitDesc::pipelined(
+            ComputeUnit::new("EdgeUnit", [1, 3, 1], [1, 1, 1], 2)
+                .with_energy_per_cycle(Energy::from_picojoules(3.0)),
+            Layer::Sensor,
+        ));
+        hw.connect("PixelArray", "ADCArray");
+        hw.connect("ADCArray", "LineBuffer");
+        hw.connect("LineBuffer", "EdgeUnit");
+
+        let mapping = Mapping::new()
+            .map("Input", "PixelArray")
+            .map("Binning", "PixelArray")
+            .map("EdgeDetection", "EdgeUnit");
+
+        CamJ::new(algo, hw, mapping, 30.0).unwrap().into_validated()
+    }
+
+    proptest! {
+        /// The frame engine is byte-identical to the scalar reference
+        /// for arbitrary seeds, stimuli, and resolutions — digests
+        /// (128-bit frame fingerprints) and every report field.
+        #[test]
+        fn vectorized_frame_sim_matches_scalar_reference(
+            seed in 0u64..u64::MAX / 2,
+            width in 1u32..80,
+            height in 1u32..80,
+            level in 0u32..11,
+            gradient in 0u32..2,
+            noisy_pixel in 0u32..2,
+        ) {
+            let stimulus = if gradient == 1 {
+                Stimulus::gradient(f64::from(level) / 20.0, f64::from(level) / 10.0)
+            } else {
+                Stimulus::uniform(f64::from(level) / 10.0)
+            };
+            let model = toy_model(width, height, noisy_pixel == 1, 30.0);
+            let fast = model.simulate_frame(seed, &stimulus).unwrap();
+            let slow = scalar_reference(&model, seed, &stimulus);
+            prop_assert_eq!(&fast.digest, &slow.digest, "{width}x{height} seed {seed}");
+            prop_assert_eq!(&fast, &slow, "full reports must match bit-for-bit");
+        }
+    }
+
+    /// The scalar reference at the committed quickstart snapshot point:
+    /// pins `simulate_frame` to the exact reference output, and the
+    /// reference to the digests of `descriptions/quickstart.simulate.txt`.
+    #[test]
+    fn quickstart_digest_matches_reference_and_snapshot_seed() {
+        let model = quickstart_model();
+        let fast = model.simulate_frame(42, &Stimulus::default()).unwrap();
+        let slow = scalar_reference(&model, 42, &Stimulus::default());
+        assert_eq!(fast, slow);
+        let snapshot = include_str!("../../../../descriptions/quickstart.simulate.txt");
+        let dag_digest = &slow.dag.as_ref().expect("quickstart has a DAG").digest;
+        assert!(snapshot.contains(&format!("\ndigest: {}\n", slow.digest)));
+        assert!(snapshot.contains(&format!("\ndag digest: {dag_digest}\n")));
+    }
+
+    #[test]
+    fn oversized_tensors_are_rejected_before_allocation() {
+        let side = 1 << 12; // 2^24 elements: exactly the limit
+        let model = toy_model(side + 1, side, false, 30.0);
+        let err = model
+            .simulate_frame(0, &Stimulus::uniform(0.5))
+            .unwrap_err();
+        assert!(
+            matches!(&err, CamjError::FrameTooLarge { stage, limit, .. }
+                if stage == "Input" && *limit == MAX_FRAME_ELEMENTS),
+            "{err}"
+        );
+        assert!(err.to_string().contains("16777216"), "{err}");
+        assert!(toy_model(side, side, false, 30.0)
+            .simulate_frames(&[0], &Stimulus::uniform(0.5))
+            .is_ok());
+    }
 }

@@ -41,7 +41,9 @@ impl ImageSize {
     /// Total pixel count.
     #[must_use]
     pub fn count(self) -> u64 {
-        u64::from(self.width) * u64::from(self.height) * u64::from(self.channels)
+        u64::from(self.width)
+            .saturating_mul(u64::from(self.height))
+            .saturating_mul(u64::from(self.channels))
     }
 }
 

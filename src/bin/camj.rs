@@ -73,7 +73,8 @@ USAGE:
         analog output and the DAG sink bit-for-bit. Identical across
         runs and thread counts. --samples N (default 1, max 1024) runs
         a Monte-Carlo batch over seeds seed..seed+N and reports
-        per-stage mean ± σ instead.
+        per-stage mean ± σ instead; its digests are the first seed's,
+        the same a single-frame run at that seed prints.
     camj sweep --design FILE [--fps A,B,C] [--format json|csv] [--no-cache]
         Sweep frame-rate targets (from --fps, or the description's
         `sweep.fps` list) through the incremental estimation engine.
@@ -576,8 +577,8 @@ fn run_simulate(flags: &Flags) -> ExitCode {
     };
     if samples > 1 {
         // Monte-Carlo batch: seeds seed..seed+N through one shared
-        // frame plan, aggregated per stage. --samples 1 stays on the
-        // single-frame path below, byte-identical to previous releases.
+        // frame plan, aggregated per stage. The first seed's frame is
+        // the one the single-frame path below prints.
         let seeds: Vec<u64> = (0..u64::from(samples))
             .map(|i| seed.wrapping_add(i))
             .collect();

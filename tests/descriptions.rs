@@ -185,6 +185,37 @@ fn cli_simulate_monte_carlo_matches_committed_snapshot() {
 }
 
 #[test]
+fn cli_single_seed_simulation_is_a_batch_of_one() {
+    // One frame engine: `--seed 7` prints the frame digest of the first
+    // seed of the `--seed 7 --samples 4` batch.
+    let digest_line = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_camj"))
+            .args([
+                "simulate",
+                "--design",
+                "descriptions/quickstart.json",
+                "--seed",
+                "7",
+            ])
+            .args(extra)
+            .output()
+            .expect("camj binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .find(|l| l.starts_with("digest: "))
+            .expect("simulate prints a digest line")
+            .to_owned()
+    };
+    assert_eq!(digest_line(&[]), digest_line(&["--samples", "4"]));
+}
+
+#[test]
 fn cli_simulate_full_dag_matches_committed_snapshot() {
     // The edgaze description bundles a real-image stimulus
     // (descriptions/edgaze_eye.pgm) and a three-stage digital DAG, so

@@ -1,21 +1,16 @@
-//! ISSUE 6 acceptance suite, frame-sim half: the vectorized functional
-//! simulation must be byte-identical to the retained scalar reference,
-//! and the Monte-Carlo aggregation (`simulate_frames`, the
-//! `mc_snr:<samples>` objective) must be deterministic across thread
-//! counts and execution modes.
+//! Frame-simulation acceptance suite: the Monte-Carlo
+//! aggregation (`simulate_frames`, the `mc_snr:<samples>` objective)
+//! must be deterministic across thread counts and execution modes, and
+//! a single-seed `simulate_frame` must be the batch engine run on a
+//! batch of one. (The bit-exact scalar oracle of the engine is test
+//! code inside camj-core: `functional::frame::tests`.)
 
 use proptest::prelude::*;
 
-use camj::analog::array::AnalogArray;
-use camj::analog::components::{aps_4t, column_adc, ApsParams};
-use camj::analog::noise::NoiseSource;
-use camj::core::energy::{CamJ, EstimateCache, ValidatedModel};
+use camj::core::energy::{CamJ, EstimateCache};
 use camj::core::functional::Stimulus;
-use camj::core::hw::{AnalogCategory, AnalogUnitDesc, HardwareDesc, Layer};
-use camj::core::mapping::Mapping;
-use camj::core::sw::{AlgorithmGraph, Stage};
 use camj::explore::{Explorer, Objective, ParetoQuery, PointError, Sweep};
-use camj::workloads::configs::{self, SensorVariant};
+use camj::workloads::configs::SensorVariant;
 use camj::workloads::{edgaze, quickstart};
 use camj_tech::node::ProcessNode;
 
@@ -25,83 +20,14 @@ fn force_threads() {
     std::env::set_var("RAYON_NUM_THREADS", "8");
 }
 
-/// A minimal two-stage analog chain (noisy pixel front end + ADC) at an
-/// arbitrary sensor resolution, so properties can sweep frame sizes the
-/// fixed workload models never exercise — including sizes straddling
-/// the vectorized path's internal chunk length.
-fn toy_model(width: u32, height: u32, noisy_pixel: bool, fps: f64) -> ValidatedModel {
-    let mut algo = AlgorithmGraph::new();
-    algo.add_stage(Stage::input("Input", [width, height, 1]));
-    algo.add_stage(Stage::element_wise("Gain", [width, height, 1], 1));
-    algo.connect("Input", "Gain").unwrap();
-
-    let mut hw = HardwareDesc::new(200e6);
-    let mut pixel = aps_4t(ApsParams::default());
-    if noisy_pixel {
-        pixel = pixel
-            .with_noise_source(NoiseSource::photon_shot(configs::FULL_WELL_ELECTRONS))
-            .with_noise_source(NoiseSource::dark_current(
-                configs::DARK_CURRENT_E_PER_S,
-                configs::FULL_WELL_ELECTRONS,
-            ))
-            .with_noise_source(NoiseSource::read(configs::READ_NOISE_FRACTION));
-    }
-    hw.add_analog(
-        AnalogUnitDesc::new(
-            "PixelArray",
-            AnalogArray::new(pixel, height, width),
-            Layer::Sensor,
-            AnalogCategory::Sensing,
-        )
-        .with_pixel_pitch_um(3.0),
-    );
-    hw.add_analog(AnalogUnitDesc::new(
-        "ADCArray",
-        AnalogArray::new(column_adc(10), 1, width),
-        Layer::Sensor,
-        AnalogCategory::Sensing,
-    ));
-    hw.connect("PixelArray", "ADCArray");
-
-    let mapping = Mapping::new()
-        .map("Input", "PixelArray")
-        .map("Gain", "ADCArray");
-
-    CamJ::new(algo, hw, mapping, fps).unwrap().into_validated()
-}
-
 proptest! {
-    /// The vectorized frame simulation is byte-identical to the scalar
-    /// reference for arbitrary seeds, stimuli, and resolutions —
-    /// digests (128-bit frame fingerprints) and every report field,
-    /// under the forced 8-worker rayon pool.
-    #[test]
-    fn vectorized_frame_sim_matches_scalar_reference(
-        seed in 0u64..u64::MAX / 2,
-        width in 1u32..80,
-        height in 1u32..80,
-        level in 0u32..11,
-        gradient in 0u32..2,
-        noisy_pixel in 0u32..2,
-    ) {
-        force_threads();
-        let stimulus = if gradient == 1 {
-            Stimulus::gradient(f64::from(level) / 20.0, f64::from(level) / 10.0)
-        } else {
-            Stimulus::uniform(f64::from(level) / 10.0)
-        };
-        let model = toy_model(width, height, noisy_pixel == 1, 30.0);
-        let fast = model.simulate_frame(seed, &stimulus).unwrap();
-        let slow = model.simulate_frame_reference(seed, &stimulus).unwrap();
-        prop_assert_eq!(&fast.digest, &slow.digest, "{width}x{height} seed {seed}");
-        prop_assert_eq!(&fast, &slow, "full reports must match bit-for-bit");
-    }
-
     /// `simulate_frames` is deterministic: the same seed list produces
     /// a byte-identical report on every call (the ziggurat streams are
     /// derived per seed × stage, never shared), whatever the thread
     /// count, and the batch decomposes seed-by-seed — each seed's
-    /// digest is independent of which other seeds ride along.
+    /// digest is independent of which other seeds ride along. A single
+    /// seed is a batch of one: `simulate_frame(s)` yields the frame and
+    /// DAG digests of `simulate_frames(&[s])`.
     #[test]
     fn monte_carlo_batches_are_deterministic(base in 0u64..1_000_000, count in 1usize..7) {
         force_threads();
@@ -116,6 +42,11 @@ proptest! {
         for (i, &seed) in seeds.iter().enumerate() {
             let alone = model.simulate_frames(&[seed], &stimulus).unwrap();
             prop_assert_eq!(&mc.digests[i], &alone.digests[0], "seed {seed}");
+            let single = model.simulate_frame(seed, &stimulus).unwrap();
+            prop_assert_eq!(&single.digest, &alone.digests[0], "seed {seed}");
+            let dag = single.dag.expect("quickstart has a DAG");
+            let batch_dag = alone.dag.expect("quickstart has a DAG");
+            prop_assert_eq!(&dag.digest, &batch_dag.digests[0], "seed {seed}");
         }
         // A single seed aggregates to exactly that frame's numbers.
         if count == 1 {
@@ -123,19 +54,6 @@ proptest! {
             prop_assert_eq!(mc.stages[0].noise_rms_mean, mc.stages[0].noise_rms_mean.abs());
         }
     }
-}
-
-/// The scalar reference at the committed quickstart snapshot point:
-/// pins `simulate_frame` (and therefore the PR 5 snapshot digest) to
-/// the exact reference output, not just self-consistency.
-#[test]
-fn quickstart_digest_matches_reference_and_snapshot_seed() {
-    let model = quickstart::model(30.0).unwrap().into_validated();
-    let fast = model.simulate_frame(42, &Stimulus::default()).unwrap();
-    let slow = model
-        .simulate_frame_reference(42, &Stimulus::default())
-        .unwrap();
-    assert_eq!(fast, slow);
 }
 
 /// Monte-Carlo statistics behave like statistics: the spread is small

@@ -618,3 +618,96 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
     );
     daemon.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// Oversized frames: an error, never an allocation abort
+// ---------------------------------------------------------------------
+
+/// The quickstart description with its input frame (and the binning
+/// stage that reads it) declared at 2,000,000 x 2,000,000 pixels: a
+/// valid design whose functional simulation would need 4e12 elements.
+fn oversized_quickstart() -> String {
+    let text = fs::read_to_string("descriptions/quickstart.json").unwrap();
+    let mut design = camj::desc::DesignDesc::from_json(&text).unwrap();
+    let huge = [2_000_000, 2_000_000, 1];
+    for stage in &mut design.sw.stages {
+        match stage.name.as_str() {
+            "Input" => {
+                stage.input_size = huge;
+                stage.output_size = huge;
+            }
+            "Binning" => stage.input_size = huge,
+            _ => {}
+        }
+    }
+    design.to_json_pretty().unwrap()
+}
+
+/// What both surfaces must say: the stage and the limit.
+fn names_stage_and_limit(message: &str) -> bool {
+    message.contains("stage 'Input'") && message.contains("limit of 16777216 elements")
+}
+
+#[test]
+fn cli_simulate_rejects_oversized_frames_without_aborting() {
+    let dir = temp_dir("oversized");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.json");
+    fs::write(&path, oversized_quickstart()).unwrap();
+    let camj = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_camj"))
+            .args(args)
+            .arg(&path)
+            .output()
+            .expect("camj runs")
+    };
+    assert!(camj(&["validate"]).status.success(), "the design is valid");
+    let out = camj(&["simulate", "--design"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(names_stage_and_limit(&stderr), "{stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_simulate_request_gets_an_error_frame_and_the_daemon_serves_on() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .args(["serve", "--stdio", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("camj serve --stdio spawns");
+    {
+        let stdin = child.stdin.as_mut().unwrap();
+        let mut simulate = Request::new(RequestKind::Simulate);
+        simulate.id = 1;
+        simulate.design = Some(serde_json::from_str(&oversized_quickstart()).unwrap());
+        writeln!(stdin, "{}", serialize_request(&simulate)).unwrap();
+        writeln!(stdin, "{}", serialize_request(&estimate_request(2))).unwrap();
+        let mut shutdown = Request::new(RequestKind::Shutdown);
+        shutdown.id = 3;
+        writeln!(stdin, "{}", serialize_request(&shutdown)).unwrap();
+    }
+    drop(child.stdin.take());
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "exit status {:?}", out.status);
+    let frames: Vec<Frame> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| parse_frame(l).expect("daemon emits valid frames"))
+        .collect();
+    let error = frames
+        .iter()
+        .find(|f| f.id == 1 && f.frame == FrameKind::Error)
+        .expect("the oversized simulate is answered with an error frame");
+    let message = error.message.as_deref().unwrap_or_default();
+    assert!(names_stage_and_limit(message), "{message}");
+    assert!(
+        frames
+            .iter()
+            .any(|f| f.id == 2 && f.frame == FrameKind::Result),
+        "the next request is served"
+    );
+}
