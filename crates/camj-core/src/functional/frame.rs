@@ -701,7 +701,7 @@ impl FramePlan {
 
 /// Domain tag of a frame digest: word-at-a-time hashing of the final
 /// frame's raw `f64` bits.
-pub(super) const FRAME_DIGEST_DOMAIN: &str = "camj.frame-digest-mc/v1";
+const FRAME_DIGEST_DOMAIN: &str = "camj.frame-digest-mc/v1";
 
 /// RMS deviation of `noisy` from `clean`, fraction of full scale.
 pub(super) fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {

@@ -314,6 +314,14 @@ mod tests {
     }
 
     #[test]
+    fn pixel_count_saturates_instead_of_wrapping() {
+        // 2^32 x 2^32 x 2^32 overflows u64; a wrapped count could pass
+        // a size limit.
+        assert_eq!(ImageSize::from([u32::MAX; 3]).count(), u64::MAX);
+        assert_eq!(ImageSize::from([640, 400, 3]).count(), 768_000);
+    }
+
+    #[test]
     fn stencil_ops_scale_with_kernel() {
         let s = Stage::stencil("Edge", [16, 16, 1], [16, 16, 1], [3, 3, 1], [1, 1, 1]);
         assert_eq!(s.ops_per_frame(), 256 * 9);
