@@ -1,12 +1,12 @@
-//! # camj-serve — the CamJ estimation daemon
+//! # camj-serve — the CamJ request executor and estimation daemon
 //!
-//! Promotes the one-shot `camj` CLI into a long-lived service: every
-//! `estimate`/`sweep`/`pareto`/`search` request from every client hits
-//! one process-wide, warm, content-addressed
-//! [`EstimateCache`](camj_core::energy::EstimateCache) instead of
-//! rebuilding state per invocation — the "millions of users" traffic
-//! shape where the second requester of any design point pays
-//! milliseconds, not minutes.
+//! One executor answers every request, wherever it comes from:
+//! [`handler::execute`] turns a [`Request`] plus a design source into
+//! a typed [`Outcome`]. The `camj` CLI runs it in-process against a
+//! fresh estimate cache; `camj serve` keeps it behind a long-lived
+//! daemon whose requests all share one warm, content-addressed
+//! [`EstimateCache`](camj_core::energy::EstimateCache), so a repeated
+//! design point costs a cache lookup instead of a rebuild.
 //!
 //! The pieces, bottom-up:
 //!
@@ -19,9 +19,11 @@
 //!   written through on every compute (`fsync` + atomic rename), so
 //!   warm starts survive daemon restarts and corruption degrades to a
 //!   recompute, never a wrong answer;
-//! * [`handler`] — per-kind execution with CLI parity, plus request
-//!   dedup: identical in-flight requests join one computation slot and
-//!   completed responses replay from memory;
+//! * [`handler`] — the shared executor (design loading, target,
+//!   objective, constraint and search-knob resolution, every request
+//!   kind), plus the daemon's request dedup: identical in-flight
+//!   requests join one computation slot and completed responses replay
+//!   from memory;
 //! * [`server`] — blocking I/O: a thread-per-connection accept loop
 //!   (TCP, or `--stdio` for tests/CI) feeding a bounded job queue with
 //!   backpressure into a fixed worker pool, each job wrapped in
@@ -46,7 +48,7 @@ pub mod server;
 pub mod tier;
 
 pub use client::roundtrip;
-pub use handler::SharedState;
+pub use handler::{execute, Answer, Design, Outcome, SharedState};
 pub use protocol::{Frame, FrameKind, Request, RequestKind};
 pub use server::{serve_stdio, serve_tcp, ServeConfig};
 pub use tier::{DiskTier, TierStats};

@@ -173,15 +173,24 @@ fn write_pretty(v: &Value, indent: usize, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// The deepest array/object nesting [`from_str`] accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so
+/// the cap keeps hostile input such as a line of 200,000 `[` from
+/// overflowing the stack; deeper documents are a [`Error::Syntax`].
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 fn parse_value_text(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -241,8 +250,21 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_NESTING_DEPTH {
+                    return Err(self.error(format!(
+                        "nesting deeper than the limit of {MAX_NESTING_DEPTH} arrays/objects"
+                    )));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => self.string().map(Value::String),
             Some(b't' | b'f') => {
                 if self.eat_keyword("true") {
@@ -465,6 +487,27 @@ mod tests {
             }
             other => panic!("expected syntax error, got {other}"),
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_NESTING_DEPTH)).is_ok());
+        let mixed = format!("{}1{}", "[{\"a\":".repeat(64), "}]".repeat(64));
+        assert!(from_str::<Value>(&mixed).is_ok());
+        match from_str::<Value>(&nested(MAX_NESTING_DEPTH + 1)).unwrap_err() {
+            Error::Syntax {
+                line,
+                column,
+                message,
+            } => {
+                assert_eq!((line, column), (1, MAX_NESTING_DEPTH + 1));
+                assert!(message.contains("limit of 128"), "{message}");
+            }
+            other => panic!("expected syntax error, got {other}"),
+        }
+        // Far past the limit: an error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

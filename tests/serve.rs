@@ -616,7 +616,237 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
         "stderr: {}",
         String::from_utf8_lossy(&bad.stderr)
     );
+
+    // Parity: a local run and a --connect run of the same flags are the
+    // same request through the same executor, so their JSON agrees once
+    // the local run's embedded cache stats are dropped.
+    let quickstart = "descriptions/quickstart.json";
+    let edgaze = "descriptions/edgaze.json";
+    let cases: [(&str, &[&str]); 9] = [
+        (quickstart, &["estimate", "--json"]),
+        (quickstart, &["simulate", "--seed", "42", "--json"]),
+        (quickstart, &["simulate", "--samples", "4", "--json"]),
+        (
+            quickstart,
+            &["sweep", "--fps", "15,30,60", "--format", "json"],
+        ),
+        (
+            quickstart,
+            &["pareto", "--fps", "10,20,30,60", "--format", "json"],
+        ),
+        (
+            quickstart,
+            &[
+                "search",
+                "--fps",
+                "10,20,30,60",
+                "--seed",
+                "7",
+                "--format",
+                "json",
+            ],
+        ),
+        (edgaze, &["estimate", "--json"]),
+        (edgaze, &["sweep", "--format", "json"]),
+        (edgaze, &["pareto", "--format", "json"]),
+    ];
+    for (design, args) in cases {
+        let json_of = |connect: bool| {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
+            cmd.arg(args[0]).args(["--design", design]).args(&args[1..]);
+            if connect {
+                cmd.args(["--connect", &daemon.addr]);
+            }
+            let out = cmd.output().expect("camj runs");
+            assert!(
+                out.status.success(),
+                "{args:?} on {design} (connect: {connect}): {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let value: Value =
+                serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+            without_cache(&value)
+        };
+        assert_eq!(
+            json_of(false),
+            json_of(true),
+            "{args:?} on {design}: local and served results differ"
+        );
+    }
     daemon.shutdown();
+}
+
+/// A result body without its `cache` key (the local run's cache stats;
+/// `null` in a served body).
+fn without_cache(value: &Value) -> Value {
+    let Some(map) = value.as_object() else {
+        return value.clone();
+    };
+    let mut kept = serde_json::Map::new();
+    for (key, item) in map.iter().filter(|(key, _)| *key != "cache") {
+        kept.insert(key, item.clone());
+    }
+    Value::Object(kept)
+}
+
+/// Runs `camj serve --stdio --workers 1` over `lines` (each sent as
+/// one request line) and returns every frame it answered; the daemon
+/// must exit cleanly.
+fn stdio_session(lines: &[String]) -> Vec<Frame> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .args(["serve", "--stdio", "--workers", "1"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("camj serve --stdio spawns");
+    {
+        let stdin = child.stdin.as_mut().unwrap();
+        for line in lines {
+            writeln!(stdin, "{line}").unwrap();
+        }
+    }
+    drop(child.stdin.take());
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "exit status {:?}", out.status);
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| parse_frame(l).expect("daemon emits valid frames"))
+        .collect()
+}
+
+fn shutdown_line(id: u64) -> String {
+    let mut shutdown = Request::new(RequestKind::Shutdown);
+    shutdown.id = id;
+    serialize_request(&shutdown)
+}
+
+fn answered(frames: &[Frame], id: u64) -> bool {
+    frames
+        .iter()
+        .any(|f| f.id == id && f.frame == FrameKind::Result)
+}
+
+// ---------------------------------------------------------------------
+// The design's stimulus is read only when it is used
+// ---------------------------------------------------------------------
+
+#[test]
+fn served_edgaze_verbatim_reads_its_image_only_for_simulate() {
+    // The daemon runs from the package root, where Ed-Gaze's relative
+    // `edgaze_eye.pgm` does not resolve. Validate and estimate never
+    // read a pixel, so they answer; simulate needs the image and gets a
+    // path-qualified error, and the daemon serves on.
+    let text = fs::read_to_string("descriptions/edgaze.json").unwrap();
+    let edgaze: Value = serde_json::from_str(&text).unwrap();
+    let line = |id: u64, kind: RequestKind| {
+        let mut request = Request::new(kind);
+        request.id = id;
+        request.design = Some(edgaze.clone());
+        serialize_request(&request)
+    };
+    let frames = stdio_session(&[
+        line(1, RequestKind::Validate),
+        line(2, RequestKind::Estimate),
+        line(3, RequestKind::Simulate),
+        serialize_request(&estimate_request(4)),
+        shutdown_line(5),
+    ]);
+    assert!(answered(&frames, 1), "validate answers: {frames:?}");
+    assert!(answered(&frames, 2), "estimate answers: {frames:?}");
+    let error = frames
+        .iter()
+        .find(|f| f.id == 3 && f.frame == FrameKind::Error)
+        .expect("simulate without the image is an error frame");
+    assert_eq!(error.path.as_deref(), Some("request.design.stimulus"));
+    assert!(
+        error
+            .message
+            .as_deref()
+            .unwrap_or_default()
+            .contains("edgaze_eye.pgm"),
+        "{error:?}"
+    );
+    assert!(answered(&frames, 4), "the next request is served");
+}
+
+#[test]
+fn cli_stimulus_override_never_opens_the_design_image() {
+    // A copy of Ed-Gaze without its image next to it.
+    let dir = temp_dir("no-image");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("edgaze.json");
+    fs::copy("descriptions/edgaze.json", &path).unwrap();
+    let camj = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_camj"))
+            .args(args)
+            .arg(&path)
+            .output()
+            .expect("camj runs")
+    };
+    let out = camj(&["simulate", "--stimulus", "uniform:0.5", "--design"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        camj(&["validate"]).status.success(),
+        "validate opens no image"
+    );
+    let missing = camj(&["simulate", "--design"]);
+    let stderr = String::from_utf8_lossy(&missing.stderr);
+    assert_eq!(missing.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error[request.design.stimulus]"),
+        "{stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// JSON nesting limit: an error, never a stack overflow
+// ---------------------------------------------------------------------
+
+#[test]
+fn deeply_nested_json_is_rejected_by_the_cli_and_the_daemon() {
+    let deep = "[".repeat(200_000);
+    let dir = temp_dir("deep");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    fs::write(&path, &deep).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .arg("validate")
+        .arg(&path)
+        .output()
+        .expect("camj runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("limit of 128"), "{stdout}");
+    let _ = fs::remove_dir_all(&dir);
+
+    let frames = stdio_session(&[
+        deep,
+        serialize_request(&estimate_request(2)),
+        shutdown_line(3),
+    ]);
+    let error = frames
+        .iter()
+        .find(|f| f.frame == FrameKind::Error)
+        .expect("the deep line is answered with an error frame");
+    assert_eq!(error.path.as_deref(), Some("request"));
+    assert!(
+        error
+            .message
+            .as_deref()
+            .unwrap_or_default()
+            .contains("limit of 128"),
+        "{error:?}"
+    );
+    assert!(answered(&frames, 2), "the next request is served");
 }
 
 // ---------------------------------------------------------------------
