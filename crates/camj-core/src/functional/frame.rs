@@ -436,7 +436,10 @@ impl ValidatedModel {
         let (width, height, channels) = (size.width, size.height, size.channels);
         let pixels = size.count() as usize;
 
-        let clean = stimulus.render(width, height, channels);
+        let clean = {
+            let _span = obs_core::span("frame.render");
+            stimulus.render(width, height, channels)
+        };
         let signal_rms = (clean.iter().map(|v| v * v).sum::<f64>() / pixels.max(1) as f64).sqrt();
         let dag = DagPlan::build(self.algorithm(), (width, height, channels), &clean);
 
@@ -576,7 +579,7 @@ struct FramePlan {
 
 /// Pixels processed per span: the normal scratch buffer stays
 /// L1-resident at this size.
-pub(super) const FRAME_CHUNK: usize = 1024;
+const FRAME_CHUNK: usize = 1024;
 
 impl FramePlan {
     /// Pushes one seeded noise realisation through the planned chain —
@@ -659,24 +662,7 @@ impl FramePlan {
         let noise_rms = stages
             .last()
             .map_or_else(|| rms_error(&noisy, &self.clean), |s| s.noise_rms);
-        // Statistics fuse into the digest walk: each span is summed,
-        // bounded and hashed while it is still L1-resident. The sum
-        // runs left to right, as a plain `iter().sum()` would, and
-        // hashing span by span yields the exact stream one whole-slice
-        // call would.
-        let mut sum = 0.0;
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut h = FpHasher::new();
-        h.write_str(FRAME_DIGEST_DOMAIN);
-        for span in noisy.chunks(FRAME_CHUNK) {
-            for v in span {
-                sum += *v;
-                min = min.min(*v);
-                max = max.max(*v);
-            }
-            h.write_f64_slice_bulk(span);
-        }
-        let (hi, lo) = h.finish().parts();
+        let (sum, min, max, digest) = frame_stats(&noisy);
         FrameSimReport {
             seed,
             stimulus: self.stimulus.clone(),
@@ -691,7 +677,7 @@ impl FramePlan {
                 noise_rms,
                 snr_db: super::snr_db(self.signal_rms, noise_rms),
             },
-            digest: format!("{hi:016x}{lo:016x}"),
+            digest,
             // The digital-DAG pass runs on the finished frame and draws
             // no randomness.
             dag: self.dag.as_ref().map(|dag| dag.run(&noisy)),
@@ -702,6 +688,33 @@ impl FramePlan {
 /// Domain tag of a frame digest: word-at-a-time hashing of the final
 /// frame's raw `f64` bits.
 const FRAME_DIGEST_DOMAIN: &str = "camj.frame-digest-mc/v1";
+
+/// The final frame's sum, minimum, maximum and digest in one pass, so
+/// the four loop-carried chains overlap. The sum runs left to right,
+/// as a plain `iter().sum()` would, and per-value bulk hashing yields
+/// the exact stream one whole-slice call would. The bounds are plain
+/// comparisons without the NaN fix-up of `f64::min`/`f64::max` on the
+/// loop-carried path (frame values are never NaN). They equal those
+/// folds except on a `-0.0`/`0.0` tie, whose sign `f64::min` leaves
+/// unspecified; there the first-seen zero is kept, deterministically.
+fn frame_stats(frame: &[f64]) -> (f64, f64, f64, String) {
+    let mut sum = 0.0;
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    let mut h = FpHasher::new();
+    h.write_str(FRAME_DIGEST_DOMAIN);
+    for &v in frame {
+        sum += v;
+        if v < min {
+            min = v;
+        }
+        if v > max {
+            max = v;
+        }
+        h.write_f64_bulk(v);
+    }
+    let (hi, lo) = h.finish().parts();
+    (sum, min, max, format!("{hi:016x}{lo:016x}"))
+}
 
 /// RMS deviation of `noisy` from `clean`, fraction of full scale.
 pub(super) fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {
@@ -979,6 +992,49 @@ mod tests {
         let dag_digest = &slow.dag.as_ref().expect("quickstart has a DAG").digest;
         assert!(snapshot.contains(&format!("\ndigest: {}\n", slow.digest)));
         assert!(snapshot.contains(&format!("\ndag digest: {dag_digest}\n")));
+    }
+
+    /// The one-pass statistics keep what separate folds compute: the
+    /// left-to-right sum, the `f64::min`/`f64::max` bounds, and the
+    /// whole-slice digest.
+    #[test]
+    fn frame_stats_match_separate_folds() {
+        let ramp: Vec<f64> = (0..2500).map(|i| f64::from(i % 97) / 96.0).collect();
+        for frame in [vec![0.25, 1.0, 0.0, 1.0, 0.5], vec![0.0, 0.0], ramp] {
+            let (sum, min, max, digest) = frame_stats(&frame);
+            let mut want_sum = 0.0;
+            for v in &frame {
+                want_sum += v;
+            }
+            let want_min = frame.iter().copied().fold(f64::INFINITY, f64::min);
+            let want_max = frame.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(sum.to_bits(), want_sum.to_bits(), "{frame:?}");
+            assert_eq!(min.to_bits(), want_min.to_bits(), "{frame:?}");
+            assert_eq!(max.to_bits(), want_max.to_bits(), "{frame:?}");
+            let mut h = FpHasher::new();
+            h.write_str(FRAME_DIGEST_DOMAIN);
+            h.write_f64_slice_bulk(&frame);
+            let (hi, lo) = h.finish().parts();
+            assert_eq!(digest, format!("{hi:016x}{lo:016x}"));
+        }
+    }
+
+    /// On a signed-zero tie, where `f64::min`/`f64::max` leave the sign
+    /// unspecified, the bounds keep the first-seen zero.
+    #[test]
+    fn frame_stats_keep_the_first_zero_of_a_tie() {
+        for (frame, first) in [
+            (vec![0.5, -0.0, 0.0, 1.0], -0.0_f64),
+            (vec![0.5, 0.0, -0.0, 1.0], 0.0),
+        ] {
+            let (_, min, _, _) = frame_stats(&frame);
+            assert_eq!(min.to_bits(), first.to_bits(), "{frame:?}");
+        }
+        for (frame, first) in [(vec![-0.0, 0.0], -0.0_f64), (vec![0.0, -0.0], 0.0)] {
+            let (_, min, max, _) = frame_stats(&frame);
+            assert_eq!(min.to_bits(), first.to_bits(), "{frame:?}");
+            assert_eq!(max.to_bits(), first.to_bits(), "{frame:?}");
+        }
     }
 
     #[test]

@@ -175,17 +175,34 @@ impl Stimulus {
         }
     }
 
-    /// The clean value of pixel `(x, y)` on a `width` × `height`
-    /// frame. Images resample nearest-neighbour — pure integer
-    /// arithmetic, so rendering is exact and thread-independent.
-    pub(crate) fn value_at(&self, x: u32, y: u32, width: u32, height: u32) -> f64 {
+    /// Renders the clean frame: `width * height * channels` values in
+    /// the simulator's canonical order (rows, then columns, channels
+    /// interleaved). Both the vectorized planner and the scalar
+    /// reference oracle call this, so their clean frames are
+    /// identical by construction.
+    ///
+    /// Synthetic stimuli depend on `x` only, so one row is rendered
+    /// and copied. Images resample nearest-neighbour — pure integer
+    /// arithmetic, exact and thread-independent — with the source row
+    /// resolved once per output row and the source columns once per
+    /// call.
+    pub(crate) fn render(&self, width: u32, height: u32, channels: u32) -> Vec<f64> {
+        let row_len = width as usize * channels as usize;
+        let mut clean = Vec::with_capacity(row_len * height as usize);
         match self {
-            Stimulus::Uniform { level } => *level,
+            Stimulus::Uniform { level } => clean.resize(row_len * height as usize, *level),
             Stimulus::Gradient { low, high } => {
-                if width <= 1 {
-                    *low
-                } else {
-                    low + (high - low) * f64::from(x) / f64::from(width - 1)
+                let mut row = Vec::with_capacity(row_len);
+                for x in 0..width {
+                    let value = if width <= 1 {
+                        *low
+                    } else {
+                        low + (high - low) * f64::from(x) / f64::from(width - 1)
+                    };
+                    row.extend(std::iter::repeat(value).take(channels as usize));
+                }
+                for _ in 0..height {
+                    clean.extend_from_slice(&row);
                 }
             }
             Stimulus::Image {
@@ -194,26 +211,18 @@ impl Stimulus {
                 pixels,
                 ..
             } => {
-                let sx = (u64::from(x) * u64::from(*iw) / u64::from(width.max(1))) as u32;
-                let sy = (u64::from(y) * u64::from(*ih) / u64::from(height.max(1))) as u32;
-                let (sx, sy) = (sx.min(iw - 1), sy.min(ih - 1));
-                pixels[sy as usize * *iw as usize + sx as usize]
-            }
-        }
-    }
-
-    /// Renders the clean frame: `width * height * channels` values in
-    /// the simulator's canonical order (rows, then columns, channels
-    /// interleaved). Both the vectorized planner and the scalar
-    /// reference oracle call this, so their clean frames are
-    /// identical by construction.
-    pub(crate) fn render(&self, width: u32, height: u32, channels: u32) -> Vec<f64> {
-        let mut clean = Vec::with_capacity(width as usize * height as usize * channels as usize);
-        for y in 0..height {
-            for x in 0..width {
-                let value = self.value_at(x, y, width, height);
-                for _c in 0..channels {
-                    clean.push(value);
+                let nearest = |i: u32, from: u32, to: u32| {
+                    ((u64::from(i) * u64::from(from) / u64::from(to.max(1))) as u32).min(from - 1)
+                };
+                let columns: Vec<usize> = (0..width)
+                    .map(|x| nearest(x, *iw, width) as usize)
+                    .collect();
+                for y in 0..height {
+                    let base = nearest(y, *ih, height) as usize * *iw as usize;
+                    for &sx in &columns {
+                        let value = pixels[base + sx];
+                        clean.extend(std::iter::repeat(value).take(channels as usize));
+                    }
                 }
             }
         }
@@ -608,20 +617,39 @@ impl TaskMetrics {
     #[must_use]
     pub fn measure(output: &[f64], reference: &[f64], width: u32, height: u32) -> Self {
         assert_eq!(output.len(), reference.len(), "tensor shapes must match");
-        let n = output.len().max(1) as f64;
-        let mse = output
+        let sq_err = output
             .iter()
             .zip(reference)
             .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            / n;
+            .sum::<f64>();
+        Self::from_sq_err(
+            output,
+            sq_err,
+            centroid(reference, width, height),
+            width,
+            height,
+        )
+    }
+
+    /// [`Self::measure`] with the two reference-side quantities already
+    /// known: the squared error summed left to right in index order
+    /// (what a fused requantization pass accumulates) and the
+    /// reference centroid (seed-independent, so a frame plan computes
+    /// it once).
+    fn from_sq_err(
+        output: &[f64],
+        sq_err: f64,
+        (rx, ry): (f64, f64),
+        width: u32,
+        height: u32,
+    ) -> Self {
+        let mse = sq_err / output.len().max(1) as f64;
         let psnr_db = if mse > 0.0 {
             Some(10.0 * (1.0 / mse).log10())
         } else {
             None
         };
         let (ox, oy) = centroid(output, width, height);
-        let (rx, ry) = centroid(reference, width, height);
         let (dx, dy) = (ox - rx, oy - ry);
         Self {
             mse,
@@ -748,13 +776,83 @@ mod tests {
         }
     }
 
+    /// The per-pixel oracle of [`Stimulus::render`]: the clean value
+    /// of pixel `(x, y)` on a `width` × `height` frame, with every
+    /// division redone per pixel.
+    fn value_at(stimulus: &Stimulus, x: u32, y: u32, width: u32, height: u32) -> f64 {
+        match stimulus {
+            Stimulus::Uniform { level } => *level,
+            Stimulus::Gradient { low, high } => {
+                if width <= 1 {
+                    *low
+                } else {
+                    low + (high - low) * f64::from(x) / f64::from(width - 1)
+                }
+            }
+            Stimulus::Image {
+                width: iw,
+                height: ih,
+                pixels,
+                ..
+            } => {
+                let sx = (u64::from(x) * u64::from(*iw) / u64::from(width.max(1))) as u32;
+                let sy = (u64::from(y) * u64::from(*ih) / u64::from(height.max(1))) as u32;
+                let (sx, sy) = (sx.min(iw - 1), sy.min(ih - 1));
+                pixels[sy as usize * *iw as usize + sx as usize]
+            }
+        }
+    }
+
     #[test]
     fn gradient_spans_its_bounds() {
         let s = Stimulus::gradient(0.2, 0.8);
-        assert_eq!(s.value_at(0, 0, 100, 1), 0.2);
-        assert_eq!(s.value_at(99, 0, 100, 1), 0.8);
+        let row = s.render(100, 1, 1);
+        assert_eq!((row[0], row[99]), (0.2, 0.8));
         assert!((s.mean_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(Stimulus::gradient(0.3, 0.7).value_at(0, 0, 1, 1), 0.3);
+        assert_eq!(Stimulus::gradient(0.3, 0.7).render(1, 1, 1), vec![0.3]);
+    }
+
+    /// Row-copy and column-table rendering is bit-equal to evaluating
+    /// every pixel on its own, for every stimulus kind, upsampled and
+    /// downsampled, with interleaved channels.
+    #[test]
+    fn render_matches_per_pixel_oracle() {
+        let pixels: Vec<f64> = (0..35).map(|i| f64::from(i) / 37.0).collect();
+        let image = Stimulus::Image {
+            path: "ramp".to_owned(),
+            width: 7,
+            height: 5,
+            pixels,
+        };
+        for stimulus in [
+            Stimulus::uniform(0.3),
+            Stimulus::gradient(0.1, 0.9),
+            Stimulus::gradient(0.17, 0.83),
+            image,
+        ] {
+            for (w, h, c) in [
+                (1, 1, 1),
+                (1, 9, 2),
+                (7, 5, 1),
+                (3, 2, 3),
+                (16, 11, 1),
+                (40, 23, 2),
+            ] {
+                let mut want = Vec::new();
+                for y in 0..h {
+                    for x in 0..w {
+                        let v = value_at(&stimulus, x, y, w, h);
+                        want.extend(std::iter::repeat(v.to_bits()).take(c as usize));
+                    }
+                }
+                let got: Vec<u64> = stimulus
+                    .render(w, h, c)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{stimulus} at {w}x{h}x{c}");
+            }
+        }
     }
 
     #[test]

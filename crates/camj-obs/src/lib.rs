@@ -413,7 +413,12 @@ mod tests {
         // and stage counter are deterministic; only the shared cache's
         // hit/wait counters around it race, via the suffix rule.
         assert!(!is_racy("functional.dag"));
+        assert!(!is_racy("functional.dag_reference"));
         assert!(!is_racy("functional.stages"));
+        // The frame plan's children: the stimulus render and the
+        // clean-reference DAG pass run once per plan.
+        assert!(!is_racy("frame.render"));
+        assert!(!is_racy("frame.plan"));
         assert!(!is_racy("cache.functional.lookup"));
         assert!(!is_racy("cache.functional.miss"));
         assert!(is_racy("cache.functional.hit"));

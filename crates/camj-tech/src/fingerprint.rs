@@ -175,11 +175,20 @@ impl FpHasher {
     /// stay with it (bulk digests use their own `…-mc/…` domain).
     pub fn write_f64_slice_bulk(&mut self, values: &[f64]) {
         for v in values {
-            let w = v.to_bits();
-            self.a = (self.a ^ w).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ w).wrapping_mul(MIX_MULT).rotate_left(23);
+            self.write_f64_bulk(*v);
         }
-        self.len = self.len.wrapping_add(8 * values.len() as u64);
+    }
+
+    /// Feeds one value of a word-at-a-time stream: a run of these calls
+    /// hashes exactly as one [`Self::write_f64_slice_bulk`] over the
+    /// same values does, so a loop can fold other statistics over a
+    /// buffer in the same pass that hashes it.
+    #[inline]
+    pub fn write_f64_bulk(&mut self, value: f64) {
+        let w = value.to_bits();
+        self.a = (self.a ^ w).wrapping_mul(FNV_PRIME);
+        self.b = (self.b ^ w).wrapping_mul(MIX_MULT).rotate_left(23);
+        self.len = self.len.wrapping_add(8);
     }
 
     /// Feeds a string, length-prefixed so adjacent strings cannot alias.

@@ -1049,7 +1049,9 @@ fn run_serve(flags: &Flags) -> ExitCode {
 /// errors path-qualified to stderr.
 fn run_connected(addr: &str, mut request: Request, path: &str) -> ExitCode {
     let design = read_design(path).and_then(|text| {
-        serde_json::from_str(&text).map_err(|e| format!("could not parse {path}: {e}"))
+        let design =
+            serde_json::from_str(&text).map_err(|e| format!("could not parse {path}: {e}"))?;
+        anchor_image_path(design, path)
     });
     match design {
         Ok(design) => request.design = Some(design),
@@ -1089,6 +1091,44 @@ fn run_connected(addr: &str, mut request: Request, path: &str) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// The inlined design with a relative `stimulus.image.path` made
+/// absolute against the description file's directory — the rule a
+/// local run applies through [`Design::File`] — so a daemon in any
+/// working directory reads the image the local run would.
+fn anchor_image_path(
+    mut design: serde_json::Value,
+    path: &str,
+) -> Result<serde_json::Value, String> {
+    use serde_json::Value;
+    let Value::Object(top) = &mut design else {
+        return Ok(design);
+    };
+    let Some(Value::Object(mut stimulus)) = top.get("stimulus").cloned() else {
+        return Ok(design);
+    };
+    let Some(Value::Object(mut image)) = stimulus.get("image").cloned() else {
+        return Ok(design);
+    };
+    let Some(file) = image
+        .get("path")
+        .and_then(Value::as_str)
+        .filter(|f| Path::new(f).is_relative())
+    else {
+        return Ok(design);
+    };
+    let dir = match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let dir = fs::canonicalize(dir)
+        .map_err(|e| format!("could not resolve the directory of {path}: {e}"))?;
+    let anchored = dir.join(file).to_string_lossy().into_owned();
+    image.insert("path", Value::String(anchored));
+    stimulus.insert("image", Value::Object(image));
+    top.insert("stimulus", Value::Object(stimulus));
+    Ok(design)
 }
 
 // ---------------------------------------------------------------------

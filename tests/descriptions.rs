@@ -257,6 +257,45 @@ fn cli_simulate_full_dag_matches_committed_snapshot() {
 }
 
 #[test]
+fn cli_simulate_custom_and_dnn_dags_match_committed_snapshots() {
+    // The DAG paths edgaze does not take: Rhythmic's custom
+    // shape-adapter stage (1280x720 -> 1280x360), isscc17's stencil
+    // then DNN, and custom_chip's two chained custom stages, each
+    // under the default gradient stimulus.
+    for name in ["rhythmic", "isscc17", "custom_chip"] {
+        let run = |threads: &str| {
+            let out = Command::new(env!("CARGO_BIN_EXE_camj"))
+                .args([
+                    "simulate",
+                    "--design",
+                    &format!("descriptions/{name}.json"),
+                    "--seed",
+                    "42",
+                ])
+                .env("RAYON_NUM_THREADS", threads)
+                .output()
+                .expect("camj binary runs");
+            assert!(
+                out.status.success(),
+                "{name}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let golden = format!("descriptions/{name}.simulate.txt");
+        let expected = fs::read_to_string(&golden).unwrap();
+        let first = run("1");
+        assert_eq!(
+            first, expected,
+            "CLI simulate output drifted from {golden}; \
+             regenerate it if the change is intentional"
+        );
+        assert_eq!(run("2"), first, "{name}");
+        assert_eq!(run("8"), first, "{name}");
+    }
+}
+
+#[test]
 fn cli_export_reproduces_golden_bytes() {
     for (name, path) in GOLDEN {
         let out = Command::new(env!("CARGO_BIN_EXE_camj"))

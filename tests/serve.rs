@@ -31,7 +31,16 @@ impl Daemon {
     /// Spawns `camj serve --listen 127.0.0.1:0 <extra>` with the given
     /// environment and parses the bound address off the stderr banner.
     fn spawn(extra: &[&str], env: &[(&str, &str)]) -> Self {
+        Self::spawn_in(None, extra, env)
+    }
+
+    /// [`Self::spawn`] with the daemon's working directory set to
+    /// `cwd` (inherited when `None`).
+    fn spawn_in(cwd: Option<&std::path::Path>, extra: &[&str], env: &[(&str, &str)]) -> Self {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
+        if let Some(cwd) = cwd {
+            cmd.current_dir(cwd);
+        }
         cmd.args(["serve", "--listen", "127.0.0.1:0"])
             .args(extra)
             .stdin(Stdio::null())
@@ -563,7 +572,11 @@ fn sweep_pareto_search_exit_one_on_captured_panics() {
 
 #[test]
 fn connect_flag_runs_subcommands_against_the_daemon() {
-    let daemon = Daemon::spawn(&["--workers", "2"], &[]);
+    // The daemon runs in another working directory: nothing a
+    // `--connect` client sends may resolve against the daemon's cwd.
+    let cwd = temp_dir("connect-cwd");
+    fs::create_dir_all(&cwd).unwrap();
+    let daemon = Daemon::spawn_in(Some(&cwd), &["--workers", "2"], &[]);
 
     let run = || {
         Command::new(env!("CARGO_BIN_EXE_camj"))
@@ -622,7 +635,7 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
     // the local run's embedded cache stats are dropped.
     let quickstart = "descriptions/quickstart.json";
     let edgaze = "descriptions/edgaze.json";
-    let cases: [(&str, &[&str]); 9] = [
+    let cases: [(&str, &[&str]); 10] = [
         (quickstart, &["estimate", "--json"]),
         (quickstart, &["simulate", "--seed", "42", "--json"]),
         (quickstart, &["simulate", "--samples", "4", "--json"]),
@@ -649,6 +662,9 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
         (edgaze, &["estimate", "--json"]),
         (edgaze, &["sweep", "--format", "json"]),
         (edgaze, &["pareto", "--format", "json"]),
+        // The bundled image stimulus: its relative path resolves
+        // against the description's directory on both sides.
+        (edgaze, &["simulate", "--seed", "42", "--json"]),
     ];
     for (design, args) in cases {
         let json_of = |connect: bool| {
@@ -665,7 +681,7 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
             );
             let value: Value =
                 serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
-            without_cache(&value)
+            with_canonical_image(&without_cache(&value))
         };
         assert_eq!(
             json_of(false),
@@ -674,6 +690,32 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
         );
     }
     daemon.shutdown();
+    let _ = fs::remove_dir_all(&cwd);
+}
+
+/// A result body whose `image:` stimulus names its file canonically. A
+/// local run reports the image path as the description spells it,
+/// joined onto the description's directory; a `--connect` run reports
+/// the absolute path the client sent, so the daemon's working directory
+/// never matters. Both name the same file.
+fn with_canonical_image(value: &Value) -> Value {
+    let Some(map) = value.as_object() else {
+        return value.clone();
+    };
+    let mut kept = map.clone();
+    let image = map
+        .get("stimulus")
+        .and_then(Value::as_str)
+        .and_then(|s| s.strip_prefix("image:"));
+    if let Some(path) = image {
+        let canonical = fs::canonicalize(path)
+            .unwrap_or_else(|e| panic!("the reported image {path} must exist: {e}"));
+        kept.insert(
+            "stimulus",
+            Value::String(format!("image:{}", canonical.display())),
+        );
+    }
+    Value::Object(kept)
 }
 
 /// A result body without its `cache` key (the local run's cache stats;

@@ -14,6 +14,7 @@
 //! concurrent test's session would soak up their events.
 
 use camj::core::energy::EstimateCache;
+use camj::core::functional::Stimulus;
 use camj::explore::{Explorer, PointError, Sweep};
 use camj::obs::{ObsSession, Recording};
 use camj::workloads::quickstart;
@@ -140,8 +141,63 @@ fn tracing_is_balanced_deterministic_and_invisible() {
         "serial and parallel runs must digest identically"
     );
 
+    // The frame engine: a traced Monte-Carlo batch attributes the
+    // stimulus render and the clean-reference DAG pass to their own
+    // spans, once per plan and nested under `frame.plan`, and the noisy
+    // DAG pass once per seed. Tracing leaves the frames untouched.
+    let model = quickstart::model(30.0).unwrap().into_validated();
+    let seeds = [1, 2, 3];
+    let untraced = model.simulate_frames(&seeds, &Stimulus::default()).unwrap();
+    let session = ObsSession::begin();
+    let traced = model.simulate_frames(&seeds, &Stimulus::default()).unwrap();
+    let frames = session.finish();
+    assert_eq!(untraced, traced, "frames must be identical with tracing on");
+    assert_spans_balance(&frames);
+    let count = |name: &str| {
+        frames
+            .metrics()
+            .spans
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.count)
+    };
+    assert_eq!(count("frame.plan"), 1);
+    assert_eq!(count("frame.render"), 1);
+    assert_eq!(count("functional.dag_reference"), 1);
+    assert_eq!(count("functional.dag"), seeds.len() as u64);
+    assert_nested_under(
+        &frames,
+        &["frame.render", "functional.dag_reference"],
+        "frame.plan",
+    );
+
     // And after everything, the facade is disabled again: a fresh
     // untraced run still matches.
     assert!(!obs_core::enabled());
     assert_eq!(baseline, sweep_json(&Explorer::serial()));
+}
+
+/// Asserts every span named in `children` opens while a `parent` span
+/// is open on the same thread.
+fn assert_nested_under(recording: &Recording, children: &[&str], parent: &str) {
+    use camj::obs::EventKind;
+    for (tid, events) in recording.threads() {
+        let mut stack: Vec<&'static str> = Vec::new();
+        for event in events {
+            match event.kind {
+                EventKind::Begin => {
+                    assert!(
+                        !children.contains(&event.name) || stack.contains(&parent),
+                        "tid {tid}: '{}' opened outside '{parent}' (open: {stack:?})",
+                        event.name
+                    );
+                    stack.push(event.name);
+                }
+                EventKind::End => {
+                    stack.pop();
+                }
+                EventKind::Counter => {}
+            }
+        }
+    }
 }
