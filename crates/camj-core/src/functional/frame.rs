@@ -13,9 +13,9 @@ use crate::sw::{AlgorithmGraph, StageKind};
 
 use super::dag::DagPlan;
 use super::{
-    DagSim, FrameSimReport, McDagSim, McDagStageSim, McFrameSimReport, McOutputStats,
-    McTaskMetrics, NoiseReport, NoiseStage, OutputStats, StageMcSim, StageNoise, StageSim,
-    Stimulus, TaskMetrics, DEFAULT_SIGNAL_FRACTION, MAX_FRAME_ELEMENTS,
+    DagSim, DagStageSim, FrameSimReport, McDagSim, McFrameSimReport, NoiseReport, NoiseStage,
+    OutputStats, Spread, StageNoise, StageSim, Stimulus, TaskMetrics, DEFAULT_SIGNAL_FRACTION,
+    MAX_FRAME_ELEMENTS,
 };
 
 /// Domain tag of the functional (task-metrics) fingerprint; bump when
@@ -207,88 +207,31 @@ impl ValidatedModel {
         let plan = self.frame_plan(stimulus)?;
         let reports: Vec<FrameSimReport> =
             seeds.par_iter().map(|&seed| plan.simulate(seed)).collect();
-        let stages = (0..reports[0].stages.len())
-            .map(|i| {
-                let rms: Vec<f64> = reports.iter().map(|r| r.stages[i].noise_rms).collect();
-                let snr: Vec<Option<f64>> = reports.iter().map(|r| r.stages[i].snr_db).collect();
-                let (noise_rms_mean, noise_rms_std) = super::mean_std(&rms);
-                let (snr_db_mean, snr_db_std) = super::mean_std_opt(&snr);
-                StageMcSim {
-                    unit: reports[0].stages[i].unit.clone(),
-                    noise_rms_mean,
-                    noise_rms_std,
-                    snr_db_mean,
-                    snr_db_std,
-                }
-            })
+        let first = &reports[0];
+        let stages = (0..first.stages.len())
+            .map(|i| fold_stage(&reports.iter().map(|r| &r.stages[i]).collect::<Vec<_>>()))
             .collect();
-        let means: Vec<f64> = reports.iter().map(|r| r.output.mean).collect();
-        let rms: Vec<f64> = reports.iter().map(|r| r.output.noise_rms).collect();
-        let snr: Vec<Option<f64>> = reports.iter().map(|r| r.output.snr_db).collect();
-        let (noise_rms_mean, noise_rms_std) = super::mean_std(&rms);
-        let (snr_db_mean, snr_db_std) = super::mean_std_opt(&snr);
-        let dag = reports[0].dag.as_ref().map(|first| {
-            // Every report shares the plan, so dag presence and stage
-            // lists agree across seeds.
-            let per_seed: Vec<&DagSim> = reports
-                .iter()
-                .map(|r| r.dag.as_ref().expect("shared plan"))
-                .collect();
-            let stages = (0..first.stages.len())
-                .map(|i| {
-                    let rms: Vec<f64> = per_seed.iter().map(|d| d.stages[i].error_rms).collect();
-                    let snr: Vec<Option<f64>> =
-                        per_seed.iter().map(|d| d.stages[i].snr_db).collect();
-                    let (error_rms_mean, error_rms_std) = super::mean_std(&rms);
-                    let (snr_db_mean, snr_db_std) = super::mean_std_opt(&snr);
-                    McDagStageSim {
-                        stage: first.stages[i].stage.clone(),
-                        error_rms_mean,
-                        error_rms_std,
-                        snr_db_mean,
-                        snr_db_std,
-                    }
-                })
-                .collect();
-            let mse: Vec<f64> = per_seed.iter().map(|d| d.metrics.mse).collect();
-            let rmse: Vec<f64> = per_seed.iter().map(|d| d.metrics.rmse).collect();
-            let psnr: Vec<Option<f64>> = per_seed.iter().map(|d| d.metrics.psnr_db).collect();
-            let cent: Vec<f64> = per_seed.iter().map(|d| d.metrics.centroid_err).collect();
-            let (mse_mean, mse_std) = super::mean_std(&mse);
-            let (rmse_mean, rmse_std) = super::mean_std(&rmse);
-            let (psnr_db_mean, psnr_db_std) = super::mean_std_opt(&psnr);
-            let (centroid_err_mean, centroid_err_std) = super::mean_std(&cent);
-            McDagSim {
-                stages,
-                sink: first.sink.clone(),
-                metrics: McTaskMetrics {
-                    mse_mean,
-                    mse_std,
-                    rmse_mean,
-                    rmse_std,
-                    psnr_db_mean,
-                    psnr_db_std,
-                    centroid_err_mean,
-                    centroid_err_std,
-                },
-                digests: per_seed.iter().map(|d| d.digest.clone()).collect(),
-            }
+        let output = fold_output(&reports.iter().map(|r| &r.output).collect::<Vec<_>>());
+        // Every report shares the plan, so DAG presence and stage lists
+        // agree across seeds.
+        let dags: Vec<&DagSim> = reports.iter().filter_map(|r| r.dag.as_ref()).collect();
+        let dag = first.dag.as_ref().map(|dag| McDagSim {
+            stages: (0..dag.stages.len())
+                .map(|i| fold_dag_stage(&dags.iter().map(|d| &d.stages[i]).collect::<Vec<_>>()))
+                .collect(),
+            sink: dag.sink.clone(),
+            metrics: fold_metrics(&dags.iter().map(|d| &d.metrics).collect::<Vec<_>>()),
+            digests: dags.iter().map(|d| d.digest.clone()).collect(),
         });
         Ok(McFrameSimReport {
             stimulus: stimulus.to_string(),
             seeds: seeds.to_vec(),
-            width: reports[0].width,
-            height: reports[0].height,
-            channels: reports[0].channels,
+            width: first.width,
+            height: first.height,
+            channels: first.channels,
             stages,
-            output: McOutputStats {
-                mean: super::mean_std(&means).0,
-                noise_rms_mean,
-                noise_rms_std,
-                snr_db_mean,
-                snr_db_std,
-            },
-            digests: reports.into_iter().map(|r| r.digest).collect(),
+            output,
+            digests: reports.iter().map(|r| r.digest.clone()).collect(),
             dag,
         })
     }
@@ -321,11 +264,11 @@ impl ValidatedModel {
         let compute = || -> Result<TaskMetrics, CamjError> {
             let report = self.simulate_frames(seeds, self.stimulus())?;
             match report.dag {
-                Some(dag) => Ok(TaskMetrics {
-                    mse: dag.metrics.mse_mean,
-                    rmse: dag.metrics.rmse_mean,
-                    psnr_db: dag.metrics.psnr_db_mean,
-                    centroid_err: dag.metrics.centroid_err_mean,
+                Some(McDagSim { metrics: m, .. }) => Ok(TaskMetrics {
+                    mse: m.mse.mean,
+                    rmse: m.rmse.mean,
+                    psnr_db: m.psnr_db.map(|s| s.mean),
+                    centroid_err: m.centroid_err.mean,
                 }),
                 None => Err(CamjError::CheckDag {
                     reason: "accuracy metrics need at least one non-input algorithm stage to judge"
@@ -484,6 +427,43 @@ impl ValidatedModel {
             stages,
             dag,
         })
+    }
+}
+
+/// The Monte-Carlo folds: one per row type, each taking that row of
+/// every seed, in seed order.
+fn fold_stage(rows: &[&StageSim]) -> StageSim<Spread> {
+    StageSim {
+        unit: rows[0].unit.clone(),
+        noise_rms: Spread::of(rows.iter().map(|r| r.noise_rms)),
+        snr_db: Spread::of_opt(rows.iter().map(|r| r.snr_db)),
+    }
+}
+
+fn fold_output(rows: &[&OutputStats]) -> OutputStats<Spread> {
+    OutputStats {
+        mean: Spread::of(rows.iter().map(|r| r.mean)),
+        min: Spread::of(rows.iter().map(|r| r.min)),
+        max: Spread::of(rows.iter().map(|r| r.max)),
+        noise_rms: Spread::of(rows.iter().map(|r| r.noise_rms)),
+        snr_db: Spread::of_opt(rows.iter().map(|r| r.snr_db)),
+    }
+}
+
+fn fold_dag_stage(rows: &[&DagStageSim]) -> DagStageSim<Spread> {
+    DagStageSim {
+        stage: rows[0].stage.clone(),
+        error_rms: Spread::of(rows.iter().map(|r| r.error_rms)),
+        snr_db: Spread::of_opt(rows.iter().map(|r| r.snr_db)),
+    }
+}
+
+fn fold_metrics(rows: &[&TaskMetrics]) -> TaskMetrics<Spread> {
+    TaskMetrics {
+        mse: Spread::of(rows.iter().map(|r| r.mse)),
+        rmse: Spread::of(rows.iter().map(|r| r.rmse)),
+        psnr_db: Spread::of_opt(rows.iter().map(|r| r.psnr_db)),
+        centroid_err: Spread::of(rows.iter().map(|r| r.centroid_err)),
     }
 }
 

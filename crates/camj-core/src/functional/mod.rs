@@ -408,45 +408,16 @@ pub struct FrameSimReport {
     pub dag: Option<DagSim>,
 }
 
-/// One measured stage of a simulated frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageSim {
-    /// The analog unit's name.
-    pub unit: String,
-    /// RMS deviation from the clean frame after this stage, fraction
-    /// of full scale.
-    pub noise_rms: f64,
-    /// Measured SNR in dB after this stage
-    /// (`20·log10(signal_rms / noise_rms)`); absent while the frame is
-    /// still bit-exact.
-    pub snr_db: Option<f64>,
-}
-
-/// Summary statistics of a simulated output frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OutputStats {
-    /// Mean pixel value, fraction of full scale.
-    pub mean: f64,
-    /// Smallest pixel value.
-    pub min: f64,
-    /// Largest pixel value.
-    pub max: f64,
-    /// RMS deviation from the clean frame, fraction of full scale.
-    pub noise_rms: f64,
-    /// Measured end-to-end SNR in dB; absent for a noise-free chain.
-    pub snr_db: Option<f64>,
-}
-
 /// The result of a Monte-Carlo functional simulation
-/// ([`ValidatedModel::simulate_frames`]): per-stage noise statistics
-/// aggregated over several independently seeded frames.
+/// ([`ValidatedModel::simulate_frames`]): the per-seed rows of
+/// [`FrameSimReport`] folded over several independently seeded frames,
+/// each statistic a [`Spread`].
 ///
 /// One frame samples one noise realisation; the analytic
 /// [`NoiseReport`] and the explorer's `snr` objective rest on a single
 /// closed-form estimate. Averaging seeded frames recovers an empirical
-/// SNR with a quantified spread (`…_std`), which is what the
-/// `mc_snr:<samples>` pareto objective minimises (as mean output noise
-/// RMS).
+/// SNR with a quantified spread, which is what the `mc_snr:<samples>`
+/// pareto objective minimises (as mean output noise RMS).
 ///
 /// [`ValidatedModel::simulate_frames`]: crate::energy::ValidatedModel::simulate_frames
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -461,48 +432,80 @@ pub struct McFrameSimReport {
     pub height: u32,
     /// Channel count.
     pub channels: u32,
-    /// Per-stage aggregates, in signal-flow order.
-    pub stages: Vec<StageMcSim>,
-    /// Aggregate statistics of the final simulated frames.
-    pub output: McOutputStats,
+    /// Per-stage spreads, in signal-flow order.
+    pub stages: Vec<StageSim<Spread>>,
+    /// Spreads of the final simulated frames' statistics.
+    pub output: OutputStats<Spread>,
     /// The per-seed frame digests, in seed order — pins every
     /// underlying frame bit-for-bit, so serial and parallel evaluations
     /// of the same seed list are byte-comparable.
     pub digests: Vec<String>,
-    /// Monte-Carlo aggregate of the digital-DAG functional pass.
+    /// Monte-Carlo fold of the digital-DAG functional pass.
     /// Absent when the algorithm has no non-input stages.
     pub dag: Option<McDagSim>,
 }
 
-/// One stage's Monte-Carlo aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageMcSim {
-    /// The analog unit's name.
-    pub unit: String,
-    /// Mean over seeds of the stage's measured noise RMS.
-    pub noise_rms_mean: f64,
-    /// Sample standard deviation (n−1) of the noise RMS; `0` for a
-    /// single seed.
-    pub noise_rms_std: f64,
-    /// Mean measured SNR in dB; absent while the frame is bit-exact.
-    pub snr_db_mean: Option<f64>,
-    /// Sample standard deviation of the SNR in dB.
-    pub snr_db_std: Option<f64>,
+/// A statistic over a Monte-Carlo batch of frames: the mean over seeds
+/// and the sample standard deviation (n−1 denominator; `0` for a
+/// single seed).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Spread {
+    /// Mean over seeds.
+    pub mean: f64,
+    /// Sample standard deviation over seeds.
+    pub std: f64,
 }
 
-/// Monte-Carlo aggregate of the output-frame statistics.
+impl Spread {
+    /// The spread of per-seed values, in seed order. The mean of one
+    /// value is that value, bit for bit. An empty batch is all zero.
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Self {
+        let values: Vec<f64> = values.into_iter().collect();
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n.max(1.0);
+        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
+        let std = if values.len() < 2 { 0.0 } else { var.sqrt() };
+        Spread { mean, std }
+    }
+
+    /// The spread of optional per-seed values: present only when every
+    /// seed produced one (a noise realisation never changes whether a
+    /// chain is noisy, so mixed presence would be a bug upstream).
+    pub fn of_opt(values: impl IntoIterator<Item = Option<f64>>) -> Option<Self> {
+        let values: Option<Vec<f64>> = values.into_iter().collect();
+        values.filter(|v| !v.is_empty()).map(Spread::of)
+    }
+}
+
+/// One measured stage of a simulated frame. `V` is the statistic:
+/// `f64` for one frame, [`Spread`] over a Monte-Carlo batch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct McOutputStats {
-    /// Mean over seeds of the output frame's mean pixel value.
-    pub mean: f64,
-    /// Mean over seeds of the end-to-end noise RMS.
-    pub noise_rms_mean: f64,
-    /// Sample standard deviation (n−1) of the noise RMS.
-    pub noise_rms_std: f64,
-    /// Mean end-to-end SNR in dB; absent for a noise-free chain.
-    pub snr_db_mean: Option<f64>,
-    /// Sample standard deviation of the SNR in dB.
-    pub snr_db_std: Option<f64>,
+pub struct StageSim<V = f64> {
+    /// The analog unit's name.
+    pub unit: String,
+    /// RMS deviation from the clean frame after this stage, fraction
+    /// of full scale.
+    pub noise_rms: V,
+    /// Measured SNR in dB after this stage
+    /// (`20·log10(signal_rms / noise_rms)`); absent while the frame is
+    /// still bit-exact.
+    pub snr_db: Option<V>,
+}
+
+/// Summary statistics of a simulated output frame, per frame (`f64`)
+/// or over a Monte-Carlo batch ([`Spread`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OutputStats<V = f64> {
+    /// Mean pixel value, fraction of full scale.
+    pub mean: V,
+    /// Smallest pixel value.
+    pub min: V,
+    /// Largest pixel value.
+    pub max: V,
+    /// RMS deviation from the clean frame, fraction of full scale.
+    pub noise_rms: V,
+    /// Measured end-to-end SNR in dB; absent for a noise-free chain.
+    pub snr_db: Option<V>,
 }
 
 /// The digital-DAG half of one simulated frame: each non-input stage
@@ -524,86 +527,56 @@ pub struct DagSim {
     pub digest: String,
 }
 
-/// One functionally executed DAG stage.
+/// Monte-Carlo fold of the digital-DAG pass: [`DagSim`]'s rows over
+/// [`Spread`], with every seed's sink digest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DagStageSim {
+pub struct McDagSim {
+    /// Per-stage spreads, in topological order.
+    pub stages: Vec<DagStageSim<Spread>>,
+    /// The sink stage whose output the task metrics judge.
+    pub sink: String,
+    /// Spreads of the task metrics over the seeds.
+    pub metrics: TaskMetrics<Spread>,
+    /// Per-seed sink digests, in seed order.
+    pub digests: Vec<String>,
+}
+
+/// One functionally executed DAG stage, per frame (`f64`) or over a
+/// Monte-Carlo batch ([`Spread`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DagStageSim<V = f64> {
     /// The algorithm stage's name.
     pub stage: String,
     /// RMS deviation of the stage's output from the clean-frame
     /// reference output, fraction of full scale.
-    pub error_rms: f64,
+    pub error_rms: V,
     /// SNR in dB of the stage output against its reference
     /// (`20·log10(reference_rms / error_rms)`); absent while the
     /// tensors are still bit-exact.
-    pub snr_db: Option<f64>,
+    pub snr_db: Option<V>,
 }
 
 /// Task-level quality metrics of a DAG sink output against its
 /// clean-frame reference: full-reference error (MSE/RMSE/PSNR) for
 /// reconstruction-style pipelines, and the normalised gaze-centroid
-/// error that judges detection-style pipelines like Ed-Gaze.
+/// error that judges detection-style pipelines like Ed-Gaze. Per frame
+/// (`f64`) or over a Monte-Carlo batch ([`Spread`]).
+///
+/// `TaskMetrics<f64>` is what the functional cache stores; its size is
+/// part of the cache's byte accounting, so it carries no extra fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskMetrics {
+pub struct TaskMetrics<V = f64> {
     /// Mean squared error, fraction² of full scale.
-    pub mse: f64,
+    pub mse: V,
     /// Root of `mse`, fraction of full scale.
-    pub rmse: f64,
+    pub rmse: V,
     /// Peak SNR in dB (`10·log10(1 / mse)`); absent when the output is
     /// bit-exact (PSNR would be infinite).
-    pub psnr_db: Option<f64>,
+    pub psnr_db: Option<V>,
     /// Distance between the intensity-weighted centroids of the output
     /// and reference tensors, normalised so `1.0` is the frame
     /// diagonal — a gaze-error proxy for eye-tracking workloads.
-    pub centroid_err: f64,
-}
-
-/// Monte-Carlo aggregate of the digital-DAG pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct McDagSim {
-    /// Per-stage aggregates, in topological order.
-    pub stages: Vec<McDagStageSim>,
-    /// The sink stage whose output the task metrics judge.
-    pub sink: String,
-    /// Aggregated task metrics over the seeds.
-    pub metrics: McTaskMetrics,
-    /// Per-seed sink digests, in seed order.
-    pub digests: Vec<String>,
-}
-
-/// One DAG stage's Monte-Carlo aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct McDagStageSim {
-    /// The algorithm stage's name.
-    pub stage: String,
-    /// Mean over seeds of the stage's error RMS.
-    pub error_rms_mean: f64,
-    /// Sample standard deviation (n−1) of the error RMS.
-    pub error_rms_std: f64,
-    /// Mean SNR in dB; absent while the tensors are bit-exact.
-    pub snr_db_mean: Option<f64>,
-    /// Sample standard deviation of the SNR in dB.
-    pub snr_db_std: Option<f64>,
-}
-
-/// Monte-Carlo aggregate of the task metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct McTaskMetrics {
-    /// Mean over seeds of the MSE.
-    pub mse_mean: f64,
-    /// Sample standard deviation (n−1) of the MSE.
-    pub mse_std: f64,
-    /// Mean over seeds of the RMSE.
-    pub rmse_mean: f64,
-    /// Sample standard deviation of the RMSE.
-    pub rmse_std: f64,
-    /// Mean PSNR in dB; absent when any seed was bit-exact.
-    pub psnr_db_mean: Option<f64>,
-    /// Sample standard deviation of the PSNR.
-    pub psnr_db_std: Option<f64>,
-    /// Mean normalised centroid error.
-    pub centroid_err_mean: f64,
-    /// Sample standard deviation of the centroid error.
-    pub centroid_err_std: f64,
+    pub centroid_err: V,
 }
 
 impl TaskMetrics {
@@ -693,33 +666,6 @@ fn centroid(tensor: &[f64], width: u32, height: u32) -> (f64, f64) {
         0.5
     };
     (nx, ny)
-}
-
-/// Mean and sample standard deviation (n−1 denominator; `0` when fewer
-/// than two values).
-pub(crate) fn mean_std(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
-}
-
-/// Aggregates optional per-seed values: statistics are reported only
-/// when every seed produced one (a noise realisation never changes
-/// whether a chain is noisy, so mixed presence would be a bug upstream).
-pub(crate) fn mean_std_opt(values: &[Option<f64>]) -> (Option<f64>, Option<f64>) {
-    let present: Vec<f64> = values.iter().copied().flatten().collect();
-    if present.len() != values.len() || present.is_empty() {
-        return (None, None);
-    }
-    let (mean, std) = mean_std(&present);
-    (Some(mean), Some(std))
 }
 
 /// `20·log10(signal / noise)`, or `None` when there is no noise to
@@ -925,6 +871,26 @@ mod tests {
         let black = [0.0; 4];
         let m = TaskMetrics::measure(&black, &reference, 4, 1);
         assert!(m.centroid_err.is_finite());
+    }
+
+    /// The functional cache books `size_of::<TaskMetrics>() + 32` bytes
+    /// per entry, and `descriptions/edgaze.pareto-accuracy.json`
+    /// records the resulting byte count: the per-frame row keeps its
+    /// four-field layout.
+    #[test]
+    fn task_metrics_keeps_its_cached_size() {
+        assert_eq!(std::mem::size_of::<TaskMetrics>(), 40);
+    }
+
+    #[test]
+    fn spread_of_one_value_is_that_value() {
+        let v = 0.1 + 0.2;
+        assert_eq!(Spread::of([v]), Spread { mean: v, std: 0.0 });
+        let s = Spread::of([1.0, 2.0, 3.0]);
+        assert_eq!((s.mean, s.std), (2.0, 1.0));
+        assert_eq!(Spread::of_opt([Some(1.0), None]), None);
+        assert_eq!(Spread::of_opt([]), None);
+        assert_eq!(Spread::of_opt([Some(v)]), Some(Spread::of([v])));
     }
 
     #[test]

@@ -115,8 +115,8 @@ pub use energy::{
 };
 pub use error::CamjError;
 pub use functional::{
-    FrameSimReport, McFrameSimReport, McOutputStats, NoiseReport, OutputStats, StageMcSim,
-    StageNoise, StageSim, Stimulus, DEFAULT_SIGNAL_FRACTION,
+    FrameSimReport, McFrameSimReport, NoiseReport, OutputStats, Spread, StageNoise, StageSim,
+    Stimulus, DEFAULT_SIGNAL_FRACTION,
 };
 pub use hw::{
     AnalogCategory, AnalogUnitDesc, DigitalUnitDesc, DigitalUnitKind, HardwareDesc, Layer,

@@ -702,7 +702,7 @@ fn measure_point(
         let sim = model
             .simulate_frames(&seeds, &stimulus)
             .map_err(PointError::from)?;
-        mc.insert(samples, sim.output.noise_rms_mean);
+        mc.insert(samples, sim.output.noise_rms.mean);
     }
     let accuracy = if objectives.iter().any(|o| o.accuracy_metric().is_some()) {
         Some(model.task_metrics(&[0]).map_err(PointError::from)?)

@@ -278,6 +278,46 @@ fn tuple_struct_serializes_as_array() {
 }
 
 // ---------------------------------------------------------------------
+// Generic structs with a defaulted parameter
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Measured<V: Clone = f64> {
+    unit: String,
+    value: V,
+    peak: Option<V>,
+}
+
+#[test]
+fn defaulted_generic_struct_round_trips_at_both_arguments() {
+    let plain: Measured = Measured {
+        unit: "adc".into(),
+        value: 0.25,
+        peak: None,
+    };
+    assert_eq!(
+        to_value(&plain)
+            .as_object()
+            .unwrap()
+            .get("value")
+            .and_then(Value::as_f64),
+        Some(0.25)
+    );
+    assert_eq!(round_trip(&plain), plain);
+    let nested = Measured {
+        unit: "pixel".into(),
+        value: Span(1, 2),
+        peak: Some(Span(3, 4)),
+    };
+    assert_eq!(round_trip(&nested), nested);
+    let text = serde_json::to_string(&nested).unwrap();
+    assert_eq!(
+        serde_json::from_str::<Measured<Span>>(&text).unwrap(),
+        nested
+    );
+}
+
+// ---------------------------------------------------------------------
 // Through JSON text
 // ---------------------------------------------------------------------
 

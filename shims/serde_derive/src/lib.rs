@@ -148,7 +148,8 @@ enum Body {
 
 struct Container {
     name: String,
-    /// Generic parameters as declared (bounds included), e.g. `T: Clone`.
+    /// Generic parameters as declared, bounds included and defaults
+    /// stripped, e.g. `T: Clone` for `T: Clone = u8`.
     params: String,
     /// Generic arguments for the self type, e.g. `T`.
     args: String,
@@ -498,16 +499,25 @@ fn parse_generics(tokens: &mut Tokens) -> (String, String) {
                 }
                 raw.push(tt.to_string());
             }
-            params = raw.join(" ");
-            // Arguments: parameter names with bounds/defaults stripped.
+            // Declarations keep their bounds but drop defaults
+            // (`V = f64` becomes `V`): an `impl<…>` may not repeat a
+            // default. Arguments are the bare parameter names.
             let mut depth = 0usize;
             let mut current: Vec<String> = Vec::new();
             let mut pieces: Vec<String> = Vec::new();
+            let mut decl: Vec<String> = Vec::new();
+            let mut decls: Vec<String> = Vec::new();
+            let mut defaulted = false;
             for tok in raw.iter().chain(std::iter::once(&",".to_owned())) {
                 match tok.as_str() {
                     "<" | "(" | "[" => depth += 1,
                     ">" | ")" | "]" => depth = depth.saturating_sub(1),
                     "," if depth == 0 => {
+                        if !decl.is_empty() {
+                            decls.push(decl.join(" "));
+                        }
+                        decl.clear();
+                        defaulted = false;
                         let name_tok = if current.first().map(String::as_str) == Some("const") {
                             current.get(1)
                         } else {
@@ -521,6 +531,10 @@ fn parse_generics(tokens: &mut Tokens) -> (String, String) {
                     }
                     _ => {}
                 }
+                defaulted |= depth == 0 && tok == "=";
+                if !defaulted {
+                    decl.push(tok.clone());
+                }
                 if depth == 0 && (tok == ":" || tok == "=") {
                     current.push("\u{0}".into()); // sentinel: ignore the rest
                 }
@@ -528,6 +542,7 @@ fn parse_generics(tokens: &mut Tokens) -> (String, String) {
                     current.push(tok.clone());
                 }
             }
+            params = decls.join(", ");
             args = pieces.join(", ");
         }
     }

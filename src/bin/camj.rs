@@ -34,10 +34,12 @@
 //! side channels above.
 
 use std::fs;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
 use camj_core::energy::EstimateReport;
+use camj_core::functional::{FrameSimReport, McFrameSimReport, Spread};
 use camj_explore::{EstimateCache, ParetoEntry, ParetoQuery, SweepFormat};
 use camj_obs::ObsSession;
 use camj_serve::protocol::{ConstraintsReq, FrameKind, Reject, Request, RequestKind};
@@ -157,8 +159,7 @@ fn main() -> ExitCode {
         "search" => cmd_request(RequestKind::Search, rest),
         "serve" => cmd_serve(rest),
         "--help" | "-h" | "help" => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
+            to_stdout(|out| out.write_all(USAGE.as_bytes()).map(|()| ExitCode::SUCCESS))
         }
         other => {
             eprintln!("unknown subcommand '{other}'\n");
@@ -326,11 +327,16 @@ fn obs_finish(obs: Obs, code: ExitCode) -> ExitCode {
 // ---------------------------------------------------------------------
 
 fn cmd_list() -> ExitCode {
-    println!("built-in workloads (usable with `camj export <name>`):");
-    for b in camj_workloads::describe::builtins() {
-        println!("  {:<12} {}", b.name, b.summary);
-    }
-    ExitCode::SUCCESS
+    to_stdout(|out| {
+        writeln!(
+            out,
+            "built-in workloads (usable with `camj export <name>`):"
+        )?;
+        for b in camj_workloads::describe::builtins() {
+            writeln!(out, "  {:<12} {}", b.name, b.summary)?;
+        }
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
 fn cmd_export(args: &[String]) -> ExitCode {
@@ -355,16 +361,14 @@ fn cmd_export(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match flags.value("--out") {
-        None => print!("{json}"),
-        Some(path) => {
-            if let Err(e) = fs::write(path, &json) {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::from(2);
-            }
-            eprintln!("wrote {path}");
-        }
+    let Some(path) = flags.value("--out") else {
+        return to_stdout(|out| out.write_all(json.as_bytes()).map(|()| ExitCode::SUCCESS));
+    };
+    if let Err(e) = fs::write(path, &json) {
+        eprintln!("error: could not write {path}: {e}");
+        return ExitCode::from(2);
     }
+    eprintln!("wrote {path}");
     ExitCode::SUCCESS
 }
 
@@ -378,32 +382,33 @@ fn cmd_validate(args: &[String]) -> ExitCode {
     }
     let request = Request::new(RequestKind::Validate);
     let cache = EstimateCache::shared();
-    let mut failures = 0usize;
-    for path in &flags.positional {
-        let validated = read_design(path).and_then(|text| {
-            camj_serve::execute(&request, design_file(path, &text), &cache)
-                .map_err(|reject| reject.message)
-        });
-        match validated {
-            Ok(outcome) => println!("{path}: OK ({}, fps {})", outcome.name, outcome.fps),
-            Err(message) => {
-                failures += 1;
-                println!("{path}: FAILED");
-                for line in message.lines() {
-                    println!("    {line}");
+    to_stdout(|out| {
+        let mut failures = 0usize;
+        for path in &flags.positional {
+            let validated = read_design(path).and_then(|text| {
+                camj_serve::execute(&request, design_file(path, &text), &cache)
+                    .map_err(|reject| reject.message)
+            });
+            match validated {
+                Ok(outcome) => writeln!(out, "{path}: OK ({}, fps {})", outcome.name, outcome.fps)?,
+                Err(message) => {
+                    failures += 1;
+                    writeln!(out, "{path}: FAILED")?;
+                    for line in message.lines() {
+                        writeln!(out, "    {line}")?;
+                    }
                 }
             }
         }
-    }
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
+        if failures == 0 {
+            return Ok(ExitCode::SUCCESS);
+        }
         eprintln!(
             "{failures} of {} description(s) failed",
             flags.positional.len()
         );
-        ExitCode::FAILURE
-    }
+        Ok(ExitCode::FAILURE)
+    })
 }
 
 /// `estimate`, `simulate`, `sweep`, `pareto`, and `search`: one
@@ -591,120 +596,136 @@ fn rejected(reject: &Reject) -> ExitCode {
 // Rendering a local outcome
 // ---------------------------------------------------------------------
 
+/// Runs `write` against stdout — the one path every command prints
+/// through. A reader that closed the pipe early (`camj … | head`)
+/// ends the command quietly with exit 0; any other failure to print
+/// is exit 1.
+fn to_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<ExitCode>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match write(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: could not print the result: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// Prints an outcome as text, JSON, or CSV. Machine-readable sweep,
 /// pareto, and search output embeds the run's cache stats; `--stats`
 /// adds the cache line to estimate/simulate (on stderr under `--json`,
 /// so stdout stays pure JSON).
 fn render(outcome: &Outcome, format: SweepFormat, cache: &EstimateCache, stats: bool) -> ExitCode {
-    let json = format == SweepFormat::Json;
-    let printed = match &outcome.answer {
-        Answer::Validated => true,
-        Answer::Estimate(report) if json => print_json(report),
-        Answer::Estimate(report) => {
-            print_report(outcome, report);
-            true
-        }
-        Answer::Frame(report) if json => print_json(report),
-        Answer::Frame(report) => {
-            print_frame(outcome, report);
-            true
-        }
-        Answer::MonteCarlo(report) if json => print_json(report),
-        Answer::MonteCarlo(report) => {
-            print_monte_carlo(outcome, report);
-            true
-        }
-        Answer::Sweep(results) => {
-            match format {
-                SweepFormat::Json => println!("{}", results.to_json(Some(&cache.stats()))),
-                SweepFormat::Csv => print!("{}", results.to_csv()),
-                SweepFormat::Human => print_sweep(outcome, results, cache),
+    to_stdout(|out| {
+        let json = format == SweepFormat::Json;
+        match &outcome.answer {
+            Answer::Validated => {}
+            Answer::Estimate(report) if json => print_json(out, report)?,
+            Answer::Estimate(report) => print_report(out, outcome, report)?,
+            Answer::Frame(report) if json => print_json(out, report)?,
+            Answer::Frame(report) => print_frame(out, outcome, report)?,
+            Answer::MonteCarlo(report) if json => print_json(out, report)?,
+            Answer::MonteCarlo(report) => print_monte_carlo(out, outcome, report)?,
+            Answer::Sweep(results) => {
+                match format {
+                    SweepFormat::Json => {
+                        writeln!(out, "{}", results.to_json(Some(&cache.stats())))?
+                    }
+                    SweepFormat::Csv => write!(out, "{}", results.to_csv())?,
+                    SweepFormat::Human => print_sweep(out, outcome, results, cache)?,
+                }
+                let panicked = results
+                    .outcomes()
+                    .iter()
+                    .filter(|o| matches!(&o.result, Err(e) if e.is_panic()))
+                    .count();
+                return Ok(finish_with_panic_check(panicked, "sweep"));
             }
-            let panicked = results
-                .outcomes()
-                .iter()
-                .filter(|o| matches!(&o.result, Err(e) if e.is_panic()))
-                .count();
-            return finish_with_panic_check(panicked, "sweep");
-        }
-        Answer::Pareto(results, query) => {
-            match format {
-                SweepFormat::Json => println!("{}", results.to_json(Some(&cache.stats()))),
-                SweepFormat::Csv => print!("{}", results.to_csv()),
-                SweepFormat::Human => print_pareto(outcome, results, query, cache),
+            Answer::Pareto(results, query) => {
+                match format {
+                    SweepFormat::Json => {
+                        writeln!(out, "{}", results.to_json(Some(&cache.stats())))?
+                    }
+                    SweepFormat::Csv => write!(out, "{}", results.to_csv())?,
+                    SweepFormat::Human => print_pareto(out, outcome, results, query, cache)?,
+                }
+                return Ok(finish_with_panic_check(
+                    count_panics(results.errors()),
+                    "pareto",
+                ));
             }
-            return finish_with_panic_check(count_panics(results.errors()), "pareto");
-        }
-        Answer::Search(results, query) => {
-            match format {
-                SweepFormat::Json => println!("{}", results.to_json(Some(&cache.stats()))),
-                SweepFormat::Csv => print!("{}", results.to_csv()),
-                SweepFormat::Human => print_search(outcome, results, query, cache),
+            Answer::Search(results, query) => {
+                match format {
+                    SweepFormat::Json => {
+                        writeln!(out, "{}", results.to_json(Some(&cache.stats())))?
+                    }
+                    SweepFormat::Csv => write!(out, "{}", results.to_csv())?,
+                    SweepFormat::Human => print_search(out, outcome, results, query, cache)?,
+                }
+                return Ok(finish_with_panic_check(
+                    count_panics(results.pareto().errors()),
+                    "search",
+                ));
             }
-            return finish_with_panic_check(count_panics(results.pareto().errors()), "search");
         }
-    };
-    if !printed {
-        return ExitCode::FAILURE;
-    }
-    if stats {
-        if json {
-            eprintln!("cache: {}", cache.stats());
-        } else {
-            println!("cache: {}", cache.stats());
+        if stats {
+            if json {
+                eprintln!("cache: {}", cache.stats());
+            } else {
+                writeln!(out, "cache: {}", cache.stats())?;
+            }
         }
-    }
-    ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
-/// Pretty-prints a report as JSON; `false` if it could not serialize.
-fn print_json<T: serde::Serialize>(report: &T) -> bool {
-    match serde_json::to_string_pretty(report) {
-        Ok(json) => {
-            println!("{json}");
-            true
-        }
-        Err(e) => {
-            eprintln!("error: could not serialize the report: {e}");
-            false
-        }
-    }
+/// Pretty-prints a report as JSON.
+fn print_json<T: serde::Serialize>(out: &mut dyn Write, report: &T) -> io::Result<()> {
+    let json = serde_json::to_string_pretty(report)
+        .map_err(|e| io::Error::other(format!("could not serialize the report: {e}")))?;
+    writeln!(out, "{json}")
 }
 
-fn print_report(outcome: &Outcome, report: &EstimateReport) {
-    println!("== {} @ {} FPS ==", outcome.name, outcome.fps);
-    println!(
+fn print_report(out: &mut dyn Write, outcome: &Outcome, report: &EstimateReport) -> io::Result<()> {
+    writeln!(out, "== {} @ {} FPS ==", outcome.name, outcome.fps)?;
+    writeln!(
+        out,
         "total: {:.4} pJ/frame  ({:.4} pJ/pixel over {} input pixels)",
         report.total().picojoules(),
         report.energy_per_pixel().picojoules(),
         report.input_pixels
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "frame time: {:.4} ms = {} analog stages x {:.4} ms + {:.4} ms digital",
         report.delay.frame_time.millis(),
         report.delay.analog_stage_count,
         report.delay.analog_unit_time.millis(),
         report.delay.digital_latency.millis()
-    );
-    println!("breakdown by category:");
+    )?;
+    writeln!(out, "breakdown by category:")?;
     for (category, energy) in report.breakdown.by_category() {
         if energy.joules() > 0.0 {
-            println!("  {:<7} {:>14.4} pJ", category.label(), energy.picojoules());
+            let (label, pj) = (category.label(), energy.picojoules());
+            writeln!(out, "  {label:<7} {pj:>14.4} pJ")?;
         }
     }
-    println!("breakdown by unit:");
+    writeln!(out, "breakdown by unit:")?;
     for item in report.breakdown.items() {
         let stage = item.stage.as_deref().unwrap_or("-");
-        println!(
+        writeln!(
+            out,
             "  {:<24} {:<7} stage={:<16} {:>14.4} pJ",
             item.unit,
             item.category.label(),
             stage,
             item.energy.picojoules()
-        );
+        )?;
     }
     for layer in &report.layers {
-        println!(
+        writeln!(
+            out,
             "layer {:?}: {:.4} mW over {:.4} mm2{}",
             layer.layer,
             layer.power.milliwatts(),
@@ -712,35 +733,38 @@ fn print_report(outcome: &Outcome, report: &EstimateReport) {
             layer
                 .density_mw_per_mm2
                 .map_or(String::new(), |d| format!(" -> {d:.4} mW/mm2")),
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn print_frame(outcome: &Outcome, report: &camj_core::functional::FrameSimReport) {
-    println!(
+fn print_frame(out: &mut dyn Write, outcome: &Outcome, report: &FrameSimReport) -> io::Result<()> {
+    writeln!(
+        out,
         "== simulate: {} @ {} FPS (seed {}, stimulus {}) ==",
         outcome.name, outcome.fps, report.seed, report.stimulus
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "frame: {}x{}x{} pixels",
         report.width, report.height, report.channels
-    );
+    )?;
+    let db = |db: Option<f64>| db.map_or_else(|| "-".to_owned(), |db| format!("{db:.2}"));
     if report.stages.is_empty() {
-        println!("analog chain: no stages (nothing to simulate)");
+        writeln!(out, "analog chain: no stages (nothing to simulate)")?;
     } else {
-        println!("{:<24} {:>16} {:>12}", "stage", "noise rms (FS)", "SNR dB");
+        writeln!(
+            out,
+            "{:<24} {:>16} {:>12}",
+            "stage", "noise rms (FS)", "SNR dB"
+        )?;
         for stage in &report.stages {
-            println!(
-                "{:<24} {:>16.6} {:>12}",
-                stage.unit,
-                stage.noise_rms,
-                stage
-                    .snr_db
-                    .map_or_else(|| "-".to_owned(), |db| format!("{db:.2}")),
-            );
+            let (unit, rms, snr) = (&stage.unit, stage.noise_rms, db(stage.snr_db));
+            writeln!(out, "{unit:<24} {rms:>16.6} {snr:>12}")?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "output: mean {:.6}, range [{:.6}, {:.6}], noise rms {:.6}{}",
         report.output.mean,
         report.output.min,
@@ -750,23 +774,19 @@ fn print_frame(outcome: &Outcome, report: &camj_core::functional::FrameSimReport
             .output
             .snr_db
             .map_or_else(String::new, |db| format!(", SNR {db:.2} dB")),
-    );
+    )?;
     if let Some(dag) = &report.dag {
-        println!(
+        writeln!(
+            out,
             "digital DAG (sink {}): {:<12} {:>16} {:>12}",
             dag.sink, "stage", "error rms (FS)", "SNR dB"
-        );
+        )?;
         for stage in &dag.stages {
-            println!(
-                "  {:<36} {:>16.6} {:>12}",
-                stage.stage,
-                stage.error_rms,
-                stage
-                    .snr_db
-                    .map_or_else(|| "-".to_owned(), |db| format!("{db:.2}")),
-            );
+            let (name, rms, snr) = (&stage.stage, stage.error_rms, db(stage.snr_db));
+            writeln!(out, "  {name:<36} {rms:>16.6} {snr:>12}")?;
         }
-        println!(
+        writeln!(
+            out,
             "task: mse {:.6e}, rmse {:.6}, psnr {}, centroid err {:.6}",
             dag.metrics.mse,
             dag.metrics.rmse,
@@ -774,187 +794,227 @@ fn print_frame(outcome: &Outcome, report: &camj_core::functional::FrameSimReport
                 .psnr_db
                 .map_or_else(|| "-".to_owned(), |db| format!("{db:.2} dB")),
             dag.metrics.centroid_err,
-        );
-        println!("dag digest: {}", dag.digest);
+        )?;
+        writeln!(out, "dag digest: {}", dag.digest)?;
     }
-    println!("digest: {}", report.digest);
+    writeln!(out, "digest: {}", report.digest)
 }
 
 /// A Monte-Carlo batch: per-stage mean ± σ over seeds seed..seed+N;
 /// the digests are the first seed's.
-fn print_monte_carlo(outcome: &Outcome, mc: &camj_core::functional::McFrameSimReport) {
-    println!(
+fn print_monte_carlo(
+    out: &mut dyn Write,
+    outcome: &Outcome,
+    mc: &McFrameSimReport,
+) -> io::Result<()> {
+    writeln!(
+        out,
         "== simulate: {} @ {} FPS ({} seeds {}.., stimulus {}) ==",
         outcome.name,
         outcome.fps,
         mc.seeds.len(),
         mc.seeds[0],
         mc.stimulus
-    );
-    println!("frame: {}x{}x{} pixels", mc.width, mc.height, mc.channels);
-    let mean_std = |db: Option<f64>, std: Option<f64>, unit: &str| {
+    )?;
+    writeln!(
+        out,
+        "frame: {}x{}x{} pixels",
+        mc.width, mc.height, mc.channels
+    )?;
+    let spread_db = |db: Option<Spread>, unit: &str| {
         db.map_or_else(
             || "-".to_owned(),
-            |db| format!("{db:.2} ±{:.2}{unit}", std.unwrap_or(0.0)),
+            |db| format!("{:.2} ±{:.2}{unit}", db.mean, db.std),
         )
     };
     if mc.stages.is_empty() {
-        println!("analog chain: no stages (nothing to simulate)");
+        writeln!(out, "analog chain: no stages (nothing to simulate)")?;
     } else {
-        println!("{:<24} {:>22} {:>18}", "stage", "noise rms (FS)", "SNR dB");
+        writeln!(
+            out,
+            "{:<24} {:>22} {:>18}",
+            "stage", "noise rms (FS)", "SNR dB"
+        )?;
         for stage in &mc.stages {
-            println!(
+            writeln!(
+                out,
                 "{:<24} {:>14.6} ±{:.1e} {:>18}",
                 stage.unit,
-                stage.noise_rms_mean,
-                stage.noise_rms_std,
-                mean_std(stage.snr_db_mean, stage.snr_db_std, ""),
-            );
+                stage.noise_rms.mean,
+                stage.noise_rms.std,
+                spread_db(stage.snr_db, ""),
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "output: mean {:.6}, noise rms {:.6} ±{:.1e}{}",
-        mc.output.mean,
-        mc.output.noise_rms_mean,
-        mc.output.noise_rms_std,
-        mc.output.snr_db_mean.map_or_else(String::new, |db| format!(
-            ", SNR {db:.2} ±{:.2} dB",
-            mc.output.snr_db_std.unwrap_or(0.0)
+        mc.output.mean.mean,
+        mc.output.noise_rms.mean,
+        mc.output.noise_rms.std,
+        mc.output.snr_db.map_or_else(String::new, |db| format!(
+            ", SNR {}",
+            spread_db(Some(db), " dB")
         )),
-    );
+    )?;
     if let Some(dag) = &mc.dag {
-        println!(
+        writeln!(
+            out,
             "digital DAG (sink {}): {:<12} {:>20} {:>18}",
             dag.sink, "stage", "error rms (FS)", "SNR dB"
-        );
+        )?;
         for stage in &dag.stages {
-            println!(
+            writeln!(
+                out,
                 "  {:<36} {:>12.6} ±{:.1e} {:>18}",
                 stage.stage,
-                stage.error_rms_mean,
-                stage.error_rms_std,
-                mean_std(stage.snr_db_mean, stage.snr_db_std, ""),
-            );
+                stage.error_rms.mean,
+                stage.error_rms.std,
+                spread_db(stage.snr_db, ""),
+            )?;
         }
-        println!(
+        let m = &dag.metrics;
+        writeln!(
+            out,
             "task: mse {:.6e} ±{:.1e}, rmse {:.6} ±{:.1e}, psnr {}, centroid err {:.6} ±{:.1e}",
-            dag.metrics.mse_mean,
-            dag.metrics.mse_std,
-            dag.metrics.rmse_mean,
-            dag.metrics.rmse_std,
-            mean_std(dag.metrics.psnr_db_mean, dag.metrics.psnr_db_std, " dB"),
-            dag.metrics.centroid_err_mean,
-            dag.metrics.centroid_err_std,
-        );
-        println!("dag digest: {}", dag.digests[0]);
+            m.mse.mean,
+            m.mse.std,
+            m.rmse.mean,
+            m.rmse.std,
+            spread_db(m.psnr_db, " dB"),
+            m.centroid_err.mean,
+            m.centroid_err.std,
+        )?;
+        writeln!(out, "dag digest: {}", dag.digests[0])?;
     }
-    println!("digest: {}", mc.digests[0]);
+    writeln!(out, "digest: {}", mc.digests[0])
 }
 
 fn print_sweep(
+    out: &mut dyn Write,
     outcome: &Outcome,
     results: &camj_explore::SweepResults<EstimateReport>,
     cache: &EstimateCache,
-) {
-    println!("== sweep: {} ({} points) ==", outcome.name, results.len());
-    println!(
+) -> io::Result<()> {
+    writeln!(
+        out,
+        "== sweep: {} ({} points) ==",
+        outcome.name,
+        results.len()
+    )?;
+    writeln!(
+        out,
         "{:>10}  {:>16}  {:>14}",
         "fps", "total pJ/frame", "pJ/pixel"
-    );
+    )?;
     for o in results.outcomes() {
         let fps = o.point.fps("fps");
         match &o.result {
-            Ok(r) => println!(
+            Ok(r) => writeln!(
+                out,
                 "{:>10}  {:>16.3}  {:>14.4}",
                 fps,
                 r.total().picojoules(),
                 r.energy_per_pixel().picojoules()
-            ),
-            Err(e) => println!("{fps:>10}  infeasible: {}", e.message()),
+            )?,
+            Err(e) => writeln!(out, "{fps:>10}  infeasible: {}", e.message())?,
         }
     }
     if let Some((point, best)) = results.min_energy() {
-        println!(
+        writeln!(
+            out,
             "minimum: {:.3} pJ/frame at {point}",
             best.total().picojoules()
-        );
+        )?;
     }
-    println!("cache: {}", cache.stats());
+    writeln!(out, "cache: {}", cache.stats())
 }
 
 /// The constraint lines and the frontier table pareto and search share.
-fn print_frontier(query: &ParetoQuery, frontier: &[ParetoEntry]) {
+fn print_frontier(
+    out: &mut dyn Write,
+    query: &ParetoQuery,
+    frontier: &[ParetoEntry],
+) -> io::Result<()> {
     for constraint in query.constraints().constraints() {
-        println!("constraint: {constraint}");
+        writeln!(out, "constraint: {constraint}")?;
     }
-    print!("{:>10}", "fps");
+    write!(out, "{:>10}", "fps")?;
     for objective in query.objectives() {
-        print!("  {:>24}", objective.key());
+        write!(out, "  {:>24}", objective.key())?;
     }
-    println!();
+    writeln!(out)?;
     for entry in frontier {
-        print!("{:>10}", entry.point.fps("fps"));
+        write!(out, "{:>10}", entry.point.fps("fps"))?;
         for value in entry.metrics.values() {
-            print!("  {value:>24.4}");
+            write!(out, "  {value:>24.4}")?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 fn print_pareto(
+    out: &mut dyn Write,
     outcome: &Outcome,
     results: &camj_explore::ParetoResults,
     query: &ParetoQuery,
     cache: &EstimateCache,
-) {
-    println!(
+) -> io::Result<()> {
+    writeln!(
+        out,
         "== pareto: {} ({} points, {} objectives) ==",
         outcome.name,
         results.total_points(),
         query.objectives().len()
-    );
-    print_frontier(query, results.frontier());
-    println!(
+    )?;
+    print_frontier(out, query, results.frontier())?;
+    writeln!(
+        out,
         "frontier: {} point(s); dominated: {}; pruned: {}; errors: {}",
         results.frontier().len(),
         results.dominated_count(),
         results.pruned().len(),
         results.errors().len()
-    );
+    )?;
     for pruned in results.pruned() {
-        println!(
+        writeln!(
+            out,
             "  pruned [{}]: violates {} after {} kernel(s)",
             pruned.point, pruned.constraint, pruned.kernels_done
-        );
+        )?;
     }
     for (point, error) in results.errors() {
-        println!("  error [{point}]: {}", error.message());
+        writeln!(out, "  error [{point}]: {}", error.message())?;
     }
-    println!("prune: {}", results.stats());
-    println!("cache: {}", cache.stats());
+    writeln!(out, "prune: {}", results.stats())?;
+    writeln!(out, "cache: {}", cache.stats())
 }
 
 fn print_search(
+    out: &mut dyn Write,
     outcome: &Outcome,
     results: &camj_explore::SearchResults,
     query: &ParetoQuery,
     cache: &EstimateCache,
-) {
-    println!(
+) -> io::Result<()> {
+    writeln!(
+        out,
         "== search: {} ({} grid points, {} objectives) ==",
         outcome.name,
         results.grid_points(),
         query.objectives().len()
-    );
-    print_frontier(query, results.frontier());
+    )?;
+    print_frontier(out, query, results.frontier())?;
     let pareto = results.pareto();
-    println!(
+    writeln!(
+        out,
         "frontier: {} point(s); dominated: {}; pruned: {}; errors: {}",
         results.frontier().len(),
         pareto.dominated_count(),
         pareto.pruned().len(),
         pareto.errors().len()
-    );
+    )?;
     let termination = if results.exhaustive() {
         "exact cartesian (grid below the exhaustive threshold)".to_owned()
     } else if results.converged() {
@@ -968,14 +1028,15 @@ fn print_search(
             results.generations_run()
         )
     };
-    println!(
+    writeln!(
+        out,
         "search: {} of {} grid points evaluated ({:.1}%); {termination}",
         results.evaluations(),
         results.grid_points(),
         results.evaluation_fraction() * 100.0
-    );
-    println!("prune: {}", pareto.stats());
-    println!("cache: {}", cache.stats());
+    )?;
+    writeln!(out, "prune: {}", pareto.stats())?;
+    writeln!(out, "cache: {}", cache.stats())
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
@@ -1067,30 +1128,32 @@ fn run_connected(addr: &str, mut request: Request, path: &str) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut failed = false;
-    for frame in &frames {
-        match frame.frame {
-            FrameKind::Error => {
-                failed = true;
-                eprintln!(
-                    "error[{}]: {}",
-                    frame.path.as_deref().unwrap_or("request"),
-                    frame.message.as_deref().unwrap_or("unspecified failure"),
-                );
-            }
-            FrameKind::Result => {
-                if let Some(body) = &frame.body {
-                    failed |= !print_json(body);
+    to_stdout(|out| {
+        let mut failed = false;
+        for frame in &frames {
+            match frame.frame {
+                FrameKind::Error => {
+                    failed = true;
+                    eprintln!(
+                        "error[{}]: {}",
+                        frame.path.as_deref().unwrap_or("request"),
+                        frame.message.as_deref().unwrap_or("unspecified failure"),
+                    );
                 }
+                FrameKind::Result => {
+                    if let Some(body) = &frame.body {
+                        print_json(out, body)?;
+                    }
+                }
+                FrameKind::Point | FrameKind::Done => {}
             }
-            FrameKind::Point | FrameKind::Done => {}
         }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+        Ok(if failed {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        })
+    })
 }
 
 /// The inlined design with a relative `stimulus.image.path` made

@@ -9,7 +9,7 @@
 //!   `export` reproduces the committed JSON byte-for-byte.
 
 use std::fs;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use camj::desc::DesignDesc;
 use camj::workloads::describe;
@@ -182,6 +182,61 @@ fn cli_simulate_monte_carlo_matches_committed_snapshot() {
         "CLI simulate --samples output drifted from descriptions/quickstart.simulate-mc.txt; \
          regenerate it if the change is intentional"
     );
+}
+
+#[test]
+fn cli_simulate_json_matches_committed_snapshot() {
+    // The per-seed JSON report, recorded before the Monte-Carlo rows
+    // became the per-seed rows over `Spread`: its shape and bits must
+    // not move.
+    let expected = fs::read_to_string("descriptions/quickstart.simulate-json.txt").unwrap();
+    for threads in ["1", "8"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_camj"))
+            .args([
+                "simulate",
+                "--design",
+                "descriptions/quickstart.json",
+                "--seed",
+                "42",
+                "--json",
+            ])
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("camj binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected,
+            "CLI simulate --json output drifted from descriptions/quickstart.simulate-json.txt"
+        );
+    }
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    // `camj … | head` closes the pipe early: the command stops writing
+    // and exits 0 without a panic message.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .args([
+            "simulate",
+            "--design",
+            "descriptions/quickstart.json",
+            "--samples",
+            "2",
+            "--json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("camj binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("camj exits");
+    assert!(out.status.success(), "{:?}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
 }
 
 #[test]

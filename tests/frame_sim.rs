@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use camj::core::energy::{CamJ, EstimateCache};
-use camj::core::functional::Stimulus;
+use camj::core::functional::{Spread, Stimulus};
 use camj::explore::{Explorer, Objective, ParetoQuery, PointError, Sweep};
 use camj::workloads::configs::SensorVariant;
 use camj::workloads::{edgaze, quickstart};
@@ -27,7 +27,8 @@ proptest! {
     /// count, and the batch decomposes seed-by-seed — each seed's
     /// digest is independent of which other seeds ride along. A single
     /// seed is a batch of one: `simulate_frame(s)` yields the frame and
-    /// DAG digests of `simulate_frames(&[s])`.
+    /// DAG digests of `simulate_frames(&[s])`, and every [`Spread`] of
+    /// that batch has the frame's value as its mean and a zero std.
     #[test]
     fn monte_carlo_batches_are_deterministic(base in 0u64..1_000_000, count in 1usize..7) {
         force_threads();
@@ -44,14 +45,42 @@ proptest! {
             prop_assert_eq!(&mc.digests[i], &alone.digests[0], "seed {seed}");
             let single = model.simulate_frame(seed, &stimulus).unwrap();
             prop_assert_eq!(&single.digest, &alone.digests[0], "seed {seed}");
-            let dag = single.dag.expect("quickstart has a DAG");
-            let batch_dag = alone.dag.expect("quickstart has a DAG");
+            let dag = single.dag.as_ref().expect("quickstart has a DAG");
+            let batch_dag = alone.dag.as_ref().expect("quickstart has a DAG");
             prop_assert_eq!(&dag.digest, &batch_dag.digests[0], "seed {seed}");
-        }
-        // A single seed aggregates to exactly that frame's numbers.
-        if count == 1 {
-            prop_assert_eq!(mc.output.noise_rms_std, 0.0);
-            prop_assert_eq!(mc.stages[0].noise_rms_mean, mc.stages[0].noise_rms_mean.abs());
+            // A batch of one folds to exactly that frame's numbers:
+            // every mean is the per-seed value, bit for bit, and every
+            // spread is zero.
+            let mut pairs: Vec<(Option<Spread>, Option<f64>)> = vec![
+                (Some(alone.output.mean), Some(single.output.mean)),
+                (Some(alone.output.min), Some(single.output.min)),
+                (Some(alone.output.max), Some(single.output.max)),
+                (Some(alone.output.noise_rms), Some(single.output.noise_rms)),
+                (alone.output.snr_db, single.output.snr_db),
+                (Some(batch_dag.metrics.mse), Some(dag.metrics.mse)),
+                (Some(batch_dag.metrics.rmse), Some(dag.metrics.rmse)),
+                (batch_dag.metrics.psnr_db, dag.metrics.psnr_db),
+                (Some(batch_dag.metrics.centroid_err), Some(dag.metrics.centroid_err)),
+            ];
+            prop_assert_eq!(alone.stages.len(), single.stages.len());
+            for (batch, one) in alone.stages.iter().zip(&single.stages) {
+                prop_assert_eq!(&batch.unit, &one.unit);
+                pairs.push((Some(batch.noise_rms), Some(one.noise_rms)));
+                pairs.push((batch.snr_db, one.snr_db));
+            }
+            prop_assert_eq!(batch_dag.stages.len(), dag.stages.len());
+            for (batch, one) in batch_dag.stages.iter().zip(&dag.stages) {
+                prop_assert_eq!(&batch.stage, &one.stage);
+                pairs.push((Some(batch.error_rms), Some(one.error_rms)));
+                pairs.push((batch.snr_db, one.snr_db));
+            }
+            for (batch, one) in pairs {
+                prop_assert_eq!(
+                    batch.map(|s| (s.mean.to_bits(), s.std.to_bits())),
+                    one.map(|v| (v.to_bits(), 0.0_f64.to_bits())),
+                    "seed {}", seed
+                );
+            }
         }
     }
 }
@@ -68,15 +97,16 @@ fn monte_carlo_aggregates_are_sane() {
     let mc = model
         .simulate_frames(&seeds, &Stimulus::uniform(0.5))
         .unwrap();
-    assert!(mc.output.noise_rms_mean > 0.0);
-    assert!(mc.output.noise_rms_std > 0.0, "16 seeds must show spread");
+    let rms = mc.output.noise_rms;
+    assert!(rms.mean > 0.0);
+    assert!(rms.std > 0.0, "16 seeds must show spread");
     assert!(
-        mc.output.noise_rms_std < mc.output.noise_rms_mean / 2.0,
+        rms.std < rms.mean / 2.0,
         "spread {} vs mean {}",
-        mc.output.noise_rms_std,
-        mc.output.noise_rms_mean
+        rms.std,
+        rms.mean
     );
-    let snr = mc.output.snr_db_mean.expect("noisy chain has an SNR");
+    let snr = mc.output.snr_db.expect("noisy chain has an SNR").mean;
     let single = model
         .simulate_frame(0, &Stimulus::uniform(0.5))
         .unwrap()
@@ -88,8 +118,8 @@ fn monte_carlo_aggregates_are_sane() {
         "mc {snr} dB vs seed-0 {single} dB"
     );
     for stage in &mc.stages {
-        assert!(stage.noise_rms_mean >= 0.0);
-        assert!(stage.noise_rms_std >= 0.0);
+        assert!(stage.noise_rms.mean >= 0.0);
+        assert!(stage.noise_rms.std >= 0.0);
     }
 }
 

